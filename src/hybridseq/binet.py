@@ -7,7 +7,7 @@ likewise, the generalized hybrid sequence has the closed form
     HJ_n = (A·α̲·α^n − B·β̲·β^n) / (α − β),   A = b − a·β,  B = b − a·α.
 
 Every component of the quotient is rational: the s-parts cancel and the
-projection back to Fraction raises if they ever do not.  The context also
+projection back to the rationals raises if they ever do not.  The context also
 carries the constant hybrids and scalars that the product/square lemmas
 and the identity right-hand sides are built from.
 """
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .exactarith import QuadExt, roots
 from .hybrid import HybridNumber
-from .sequences import HoradamParams, fib, fib_params, hybrid_seq, lucas_params
+from .sequences import HoradamParams, fib, hybrid_seq
 
 
 class LemmaMismatchError(ArithmeticError):
@@ -45,7 +45,7 @@ class BinetContext:
     beta_hybrid: HybridNumber
     alpha_weight: QuadExt
     beta_weight: QuadExt
-    weight_product: Fraction
+    weight_product: int
     cross_shift: int
     omega: HybridNumber
     square_lucas_shift: Fraction
@@ -62,7 +62,7 @@ def make_context(params: HoradamParams) -> BinetContext:
     beta_hybrid = HybridNumber(QuadExt(1, 0, beta.d), beta, beta**2, beta**3)
     alpha_weight = b - beta * a
     beta_weight = b - alpha * a
-    weight_product = Fraction(b * b - p * a * b - q * a * a)
+    weight_product = b * b - p * a * b - q * a * a
     f = [fib(p, q, n) for n in range(7)]
     fib_sum = f[6] + 2 * f[3] - f[2]
     return BinetContext(
@@ -76,7 +76,7 @@ def make_context(params: HoradamParams) -> BinetContext:
         beta_weight=beta_weight,
         weight_product=weight_product,
         cross_shift=q**3 + p * q - q + 1,
-        omega=HybridNumber(Fraction(0), Fraction(1 - p), Fraction(-q), Fraction(p * p + q + 1)),
+        omega=HybridNumber(0, 1 - p, -q, p * p + q + 1),
         square_lucas_shift=-1 + Fraction(p, 2) * fib_sum + q * (f[5] + 2 * f[2] - f[1]),
         square_fib_shift=Fraction(1, 2) * fib_sum,
         fib0=hybrid_seq(params, "fib", 0),
@@ -123,7 +123,7 @@ def _checked(direct: HybridNumber, closed: HybridNumber, label: str) -> HybridNu
 
 
 def _cross_closed(ctx: BinetContext, sign: int) -> HybridNumber:
-    base = lift(ctx.lucas0 - HybridNumber.from_scalar(Fraction(ctx.cross_shift)), ctx.disc)
+    base = lift(ctx.lucas0 - HybridNumber.from_scalar(ctx.cross_shift), ctx.disc)
     swing = lift(ctx.fib0 - ctx.omega, ctx.disc)
     factor = QuadExt(0, sign * ctx.params.q, ctx.disc)  # ±q·(α−β)
     return base + swing.scale(factor)
@@ -158,10 +158,3 @@ def betabar_squared(ctx: BinetContext) -> HybridNumber:
     direct = ctx.beta_hybrid * ctx.beta_hybrid
     return _checked(direct, _square_closed(ctx, -1), "β̲²")
 
-
-def make_fib_context(p: int, q: int) -> BinetContext:
-    return make_context(fib_params(p, q))
-
-
-def make_lucas_context(p: int, q: int) -> BinetContext:
-    return make_context(lucas_params(p, q))

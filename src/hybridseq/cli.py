@@ -58,7 +58,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
             else:
                 print(_jline({"n": n, "value": format_rational(value)}))
         else:
-            z = HybridNumber(*(cache.value(n + k) for k in range(4)))
+            z = cache.hybrid(n)
             if writer:
                 writer([str(n), *_hybrid_csv(z)])
             else:
@@ -75,10 +75,11 @@ def cmd_binet(args: argparse.Namespace) -> int:
     writer = _csv_writer() if args.format == "csv" else None
     if writer:
         writer(["n", "s", "i", "e", "h", "method"])
+    window = sequences.SeqCache(resolved)
     divergence = False
     for n in range(args.start, args.stop + 1):
         z = binet.binet_horadam(ctx, n)
-        if z != sequences.hybrid_seq(resolved, "horadam", n):
+        if z != window.hybrid(n):
             print(_jline({"n": n, "error": "binet/recurrence divergence"}), file=sys.stderr)
             divergence = True
             continue
@@ -112,11 +113,10 @@ def cmd_char(args: argparse.Namespace) -> int:
 def cmd_expand(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     report = genfunc.check_expansion(params, args.terms)
-    expansion = genfunc.expand(params, args.terms)
     writer = _csv_writer() if args.format == "csv" else None
     if writer:
         writer(["r", "s", "i", "e", "h", "matches_seq"])
-    for r, coeff in enumerate(expansion.coeffs):
+    for r, coeff in enumerate(report.expansion.coeffs):
         if writer:
             writer([str(r), *_hybrid_csv(coeff), str(report.matches[r]).lower()])
         else:

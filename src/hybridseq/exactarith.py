@@ -1,7 +1,8 @@
 """Exact rational arithmetic and the quadratic extension ring Q[s]/(s²−D).
 
-Rationals are plain :class:`fractions.Fraction` values (always reduced,
-positive denominator, unbounded precision).  :class:`QuadExt` adjoins a
+Rationals are plain ``int`` values where they are integral and
+:class:`fractions.Fraction` values otherwise (always reduced, positive
+denominator, unbounded precision).  :class:`QuadExt` adjoins a
 formal square root ``s`` with ``s² = D`` to the rationals; the closed-form
 sequence evaluation lives entirely in this ring, so ``D`` may be negative
 or a perfect square and no floating point is ever involved.
@@ -10,6 +11,7 @@ or a perfect square and no floating point is ever involved.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Rational = Fraction
 
@@ -25,81 +27,118 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: int | Fraction) -> str:
     """Render a rational in wire format: ``"num/den"``, integers as ``"5"``."""
-    value = Fraction(value)
+    if type(value) is int:
+        return str(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
 
+def _rational(num: int, den: int) -> int | Fraction:
+    """num/den as an int when den divides num, otherwise as a Fraction."""
+    if den == 1:
+        return num
+    q, r = divmod(num, den)
+    return q if r == 0 else Fraction(num, den)
+
+
 class QuadExt:
     """Element x + y·s of Q[s]/(s²−D) for a fixed nonzero integer D.
 
-    Values are immutable.  Arithmetic between elements with different D is
-    rejected; plain integers and rationals coerce to (k, 0).  Equality is
-    component-wise on (x, y, D).
+    Stored as integer numerators over one positive denominator,
+    (X + Y·s)/den with gcd(X, Y, den) = 1, so arithmetic works on ints and
+    reduces once per operation.  ``x`` and ``y`` are the rational
+    components (an ``int`` when integral).  Values are immutable.
+    Arithmetic between elements with different D is rejected; plain
+    integers and rationals coerce to (k, 0).  Equality is component-wise
+    on (x, y, D).
     """
 
-    __slots__ = ("x", "y", "d")
+    __slots__ = ("_x", "_y", "_den", "d")
 
     def __init__(self, x: int | Fraction, y: int | Fraction, d: int) -> None:
         if d == 0:
             raise ValueError("discriminant D must be nonzero")
-        object.__setattr__(self, "x", Fraction(x))
-        object.__setattr__(self, "y", Fraction(y))
-        object.__setattr__(self, "d", int(d))
+        if type(x) is int and type(y) is int:
+            num_x, num_y, den = x, y, 1
+        else:
+            x, y = Fraction(x), Fraction(y)
+            dx, dy = x.denominator, y.denominator
+            den = dx * dy // gcd(dx, dy)
+            # x and y are reduced, so gcd(X, Y, lcm) is already 1
+            num_x, num_y = x.numerator * (den // dx), y.numerator * (den // dy)
+        _set_x(self, num_x)
+        _set_y(self, num_y)
+        _set_den(self, den)
+        _set_d(self, int(d))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadExt is immutable")
 
-    def _coerce(self, other: object) -> QuadExt | None:
-        if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise ValueError(
-                    f"mixed discriminants: s²={self.d} vs s²={other.d}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
-        return None
+    @property
+    def x(self) -> int | Fraction:
+        return _rational(self._x, self._den)
+
+    @property
+    def y(self) -> int | Fraction:
+        return _rational(self._y, self._den)
+
+    def _check(self, other: QuadExt) -> int:
+        """The shared discriminant; mixing two different D is an error."""
+        if other.d != self.d:
+            raise ValueError(f"mixed discriminants: s²={self.d} vs s²={other.d}")
+        return self.d
+
+    def _scaled(self, num: int, den: int) -> QuadExt:
+        """self · num/den for integers num and den > 0."""
+        return _reduced(self._x * num, self._y * num, self._den * den, self.d)
 
     def __add__(self, other: QuadExt | int | Fraction) -> QuadExt:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.x + o.x, self.y + o.y, self.d)
+        if isinstance(other, QuadExt):
+            self._check(other)
+            a, b = self._den, other._den
+            if a == b:
+                return _reduced(self._x + other._x, self._y + other._y, a, self.d)
+            return _reduced(self._x * b + other._x * a, self._y * b + other._y * a, a * b, self.d)
+        if isinstance(other, int):
+            return _raw(self._x + other * self._den, self._y, self._den, self.d)
+        if isinstance(other, Fraction):
+            a, b = self._den, other.denominator
+            return _reduced(self._x * b + other.numerator * a, self._y * b, a * b, self.d)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other: QuadExt | int | Fraction) -> QuadExt:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.x - o.x, self.y - o.y, self.d)
+        if isinstance(other, (QuadExt, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other: int | Fraction) -> QuadExt:
         return (-self).__add__(other)
 
     def __neg__(self) -> QuadExt:
-        return QuadExt(-self.x, -self.y, self.d)
+        return _raw(-self._x, -self._y, self._den, self.d)
 
     def __mul__(self, other: QuadExt | int | Fraction):
+        if isinstance(other, QuadExt):
+            d = self._check(other)
+            x1, y1, x2, y2 = self._x, self._y, other._x, other._y
+            return _reduced(x1 * x2 + d * y1 * y2, x1 * y2 + y1 * x2, self._den * other._den, d)
         if isinstance(other, (int, Fraction)):
-            return QuadExt(self.x * other, self.y * other, self.d)
-        if not isinstance(other, QuadExt):
-            return NotImplemented
-        if other.d != self.d:
-            raise ValueError(f"mixed discriminants: s²={self.d} vs s²={other.d}")
-        return QuadExt(
-            self.x * other.x + self.d * self.y * other.y,
-            self.x * other.y + self.y * other.x,
-            self.d,
-        )
+            return self._scaled(other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: QuadExt | int | Fraction) -> QuadExt:
         if isinstance(other, (int, Fraction)):
-            return QuadExt(self.x / other, self.y / other, self.d)
+            num, den = other.denominator, other.numerator
+            if den == 0:
+                raise ZeroDivisionError("QuadExt division by zero")
+            return self._scaled(-num, -den) if den < 0 else self._scaled(num, den)
         if not isinstance(other, QuadExt):
             return NotImplemented
         return self * other.inverse()
@@ -110,18 +149,28 @@ class QuadExt:
     def __pow__(self, exponent: int) -> QuadExt:
         base = self if exponent >= 0 else self.inverse()
         n = abs(exponent)
-        result = QuadExt(1, 0, self.d)
+        d = self.d
+        # square-and-multiply on the integer numerators (Z[s] is closed
+        # under products); the denominator is just den**n
+        bx, by = base._x, base._y
+        rx, ry = 1, 0
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                rx, ry = rx * bx + d * ry * by, rx * by + ry * bx
             n >>= 1
-        return result
+            if n:
+                bx, by = bx * bx + d * by * by, 2 * bx * by
+        return _reduced(rx, ry, base._den ** abs(exponent), d)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuadExt):
             return NotImplemented
-        return self.x == other.x and self.y == other.y and self.d == other.d
+        return (
+            self._x == other._x
+            and self._y == other._y
+            and self._den == other._den
+            and self.d == other.d
+        )
 
     def __hash__(self) -> int:
         return hash((self.x, self.y, self.d))
@@ -134,27 +183,26 @@ class QuadExt:
 
     def conjugate(self) -> QuadExt:
         """The s ↦ −s conjugate (x, −y)."""
-        return QuadExt(self.x, -self.y, self.d)
+        return _raw(self._x, -self._y, self._den, self.d)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int | Fraction:
         """The rational x² − D·y² (equals self · conjugate)."""
-        return self.x * self.x - self.d * self.y * self.y
+        return _rational(self._x * self._x - self.d * self._y * self._y, self._den * self._den)
 
     def inverse(self) -> QuadExt:
         """Multiplicative inverse; requires norm ≠ 0."""
-        n = self.norm()
+        # ((X + Y·s)/den)⁻¹ = den·(X − Y·s)/(X² − D·Y²)
+        n = self._x * self._x - self.d * self._y * self._y
         if n == 0:
             raise ZeroDivisionError(f"{self!r} has zero norm and is not invertible")
-        return QuadExt(self.x / n, -self.y / n, self.d)
+        den = self._den if n > 0 else -self._den
+        return _reduced(den * self._x, -den * self._y, abs(n), self.d)
 
-    def is_rational(self) -> bool:
-        return self.y == 0
-
-    def rational_part(self) -> Fraction:
+    def rational_part(self) -> int | Fraction:
         """Project to the base field; the s-component must be zero."""
-        if self.y != 0:
+        if self._y != 0:
             raise IrrationalResidueError(f"irrational residue: {self!r}")
-        return self.x
+        return _rational(self._x, self._den)
 
     def to_json_dict(self) -> dict:
         return {"x": format_rational(self.x), "y": format_rational(self.y), "D": self.d}
@@ -162,6 +210,31 @@ class QuadExt:
     @classmethod
     def from_json_dict(cls, data: dict) -> QuadExt:
         return cls(parse_rational(data["x"]), parse_rational(data["y"]), int(data["D"]))
+
+
+_set_x = QuadExt._x.__set__
+_set_y = QuadExt._y.__set__
+_set_den = QuadExt._den.__set__
+_set_d = QuadExt.d.__set__
+
+
+def _raw(num_x: int, num_y: int, den: int, d: int) -> QuadExt:
+    """Build (X + Y·s)/den as given: den > 0 and gcd(X, Y, den) = 1."""
+    z = object.__new__(QuadExt)
+    _set_x(z, num_x)
+    _set_y(z, num_y)
+    _set_den(z, den)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(num_x: int, num_y: int, den: int, d: int) -> QuadExt:
+    """Build (X + Y·s)/den for den > 0, dividing out gcd(X, Y, den)."""
+    if den != 1:
+        g = gcd(num_x, num_y, den)
+        if g != 1:
+            num_x, num_y, den = num_x // g, num_y // g, den // g
+    return _raw(num_x, num_y, den, d)
 
 
 def roots(p: int, q: int) -> tuple[QuadExt, QuadExt]:
@@ -175,7 +248,4 @@ def roots(p: int, q: int) -> tuple[QuadExt, QuadExt]:
     disc = p * p + 4 * q
     if disc == 0:
         raise ValueError("repeated root: discriminant p²+4q is zero")
-    half = Fraction(1, 2)
-    alpha = QuadExt(Fraction(p, 2), half, disc)
-    beta = QuadExt(Fraction(p, 2), -half, disc)
-    return alpha, beta
+    return _reduced(p, 1, 2, disc), _reduced(p, -1, 2, disc)

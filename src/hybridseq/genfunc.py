@@ -13,18 +13,17 @@ recurrence-generated sequence is a genuinely independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .hybrid import HybridNumber
-from .sequences import HoradamParams, hybrid_seq
+from .sequences import HoradamParams, SeqCache
 
 
-def binomial_series_coeff(p: int, q: int, r: int) -> Fraction:
+def binomial_series_coeff(p: int, q: int, r: int) -> int:
     """Coefficient of t^r in 1/(1 − p·t − q·t²); zero for r < 0."""
     if r < 0:
-        return Fraction(0)
-    return Fraction(sum(comb(r - k, k) * p ** (r - 2 * k) * q**k for k in range(r // 2 + 1)))
+        return 0
+    return sum(comb(r - k, k) * p ** (r - 2 * k) * q**k for k in range(r // 2 + 1))
 
 
 def numerator_hybrids(params: HoradamParams) -> tuple[HybridNumber, HybridNumber]:
@@ -34,18 +33,8 @@ def numerator_hybrids(params: HoradamParams) -> tuple[HybridNumber, HybridNumber
     seed formula would surface as a mismatch at r = 0 or r = 1.
     """
     p, q, a, b = params.p, params.q, params.a, params.b
-    constant = HybridNumber(
-        Fraction(a),
-        Fraction(b),
-        Fraction(p * b + q * a),
-        Fraction((p * p + q) * b + p * q * a),
-    )
-    linear = HybridNumber(
-        Fraction(b - p * a),
-        Fraction(q * a),
-        Fraction(q * b),
-        Fraction(p * q * b + q * q * a),
-    )
+    constant = HybridNumber(a, b, p * b + q * a, (p * p + q) * b + p * q * a)
+    linear = HybridNumber(b - p * a, q * a, q * b, p * q * b + q * q * a)
     return constant, linear
 
 
@@ -74,13 +63,13 @@ class ExpansionReport:
     ok: bool
     matches: tuple[bool, ...]
     first_mismatch: int | None
+    expansion: SeriesExpansion
 
 
 def check_expansion(params: HoradamParams, terms: int) -> ExpansionReport:
-    """Compare every series coefficient against the recurrence path."""
+    """Compare every series coefficient against one recurrence window."""
     expansion = expand(params, terms)
-    matches = tuple(
-        coeff == hybrid_seq(params, "horadam", r) for r, coeff in enumerate(expansion.coeffs)
-    )
+    window = SeqCache(params)
+    matches = tuple(coeff == window.hybrid(r) for r, coeff in enumerate(expansion.coeffs))
     first_mismatch = next((r for r, ok in enumerate(matches) if not ok), None)
-    return ExpansionReport(all(matches), matches, first_mismatch)
+    return ExpansionReport(all(matches), matches, first_mismatch, expansion)

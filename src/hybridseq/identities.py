@@ -122,14 +122,13 @@ def _seq_cache(params: HoradamParams) -> SeqCache:
     return SeqCache(params)
 
 
-def _scalar(params: HoradamParams, n: int) -> Fraction:
+def _scalar(params: HoradamParams, n: int) -> int | Fraction:
     return _seq_cache(params).value(n)
 
 
 @lru_cache(maxsize=None)
 def _hyb(params: HoradamParams, n: int) -> HybridNumber:
-    cache = _seq_cache(params)
-    return HybridNumber(*(cache.value(n + k) for k in range(4)))
+    return _seq_cache(params).hybrid(n)
 
 
 @lru_cache(maxsize=None)
@@ -142,15 +141,15 @@ def _rhs_consts(p: int, q: int) -> tuple[HybridNumber, HybridNumber, HybridNumbe
     """(HL₀ − cross_shift, HF₀ − omega, HL₀ + r-shift, HF₀ + s-shift)."""
     ctx = _ctx(fib_params(p, q))
     return (
-        ctx.lucas0 - HybridNumber.from_scalar(Fraction(ctx.cross_shift)),
+        ctx.lucas0 - HybridNumber.from_scalar(ctx.cross_shift),
         ctx.fib0 - ctx.omega,
         ctx.lucas0 + HybridNumber.from_scalar(ctx.square_lucas_shift),
         ctx.fib0 + HybridNumber.from_scalar(ctx.square_fib_shift),
     )
 
 
-def _neg_q_pow(q: int, n: int) -> Fraction:
-    return Fraction(-q) ** n
+def _neg_q_pow(q: int, n: int) -> int | Fraction:
+    return (-q) ** n if n >= 0 else Fraction(-q) ** n
 
 
 # --- the identities ---
@@ -184,7 +183,7 @@ def cassini(ctx: BinetContext, m: int, *, extended: bool = False) -> Verificatio
     p, q = params.p, params.q
     lhs = _prod(params, m, params, m) - _prod(params, m + 1, params, m - 1)
     lucas_shifted, fib_shifted, _, _ = _rhs_consts(p, q)
-    rhs = (lucas_shifted + fib_shifted.scale(Fraction(p * q))).scale(
+    rhs = (lucas_shifted + fib_shifted.scale(p * q)).scale(
         ctx.weight_product * _neg_q_pow(q, m - 1)
     )
     reduced = catalan(ctx, m, 1, extended=True).rhs_printed

@@ -2,8 +2,10 @@
 
 All sequences obey X_n = p·X_{n−1} + q·X_{n−2} and are extended to
 negative indices through the backward step X_{n−2} = (X_n − p·X_{n−1})/q,
-which is exact in rationals (and is why q = 0 is rejected).  For |q| = 1
-every negative-index value is still an integer.
+which is exact in rationals (and is why q = 0 is rejected).  Values are
+``int`` while they are integral: every value at n ≥ 0, and every value at
+all n when |q| = 1.  A value becomes a :class:`~fractions.Fraction` only
+where the backward division by q is inexact.
 """
 
 from __future__ import annotations
@@ -56,9 +58,18 @@ def resolve_params(params: HoradamParams, kind: str) -> HoradamParams:
     raise ValueError(f"unknown sequence kind {kind!r}; expected one of {SEQ_KINDS}")
 
 
-def horadam(params: HoradamParams, n: int) -> Fraction:
+def _div_q(value: int | Fraction, q: int) -> int | Fraction:
+    """value/q exactly: an int when q divides it, otherwise a Fraction."""
+    if type(value) is int:
+        quot, rem = divmod(value, q)
+        return quot if rem == 0 else Fraction(value, q)
+    value = value / q
+    return value.numerator if value.denominator == 1 else value
+
+
+def horadam(params: HoradamParams, n: int) -> int | Fraction:
     """The n-th sequence value for any signed index, computed iteratively."""
-    lo, hi = Fraction(params.a), Fraction(params.b)
+    lo, hi = params.a, params.b
     if n >= 0:
         if n == 0:
             return lo
@@ -66,16 +77,16 @@ def horadam(params: HoradamParams, n: int) -> Fraction:
             lo, hi = hi, params.p * hi + params.q * lo
         return hi
     for _ in range(-n):
-        lo, hi = (hi - params.p * lo) / params.q, lo
+        lo, hi = _div_q(hi - params.p * lo, params.q), lo
     return lo
 
 
-def fib(p: int, q: int, n: int) -> Fraction:
+def fib(p: int, q: int, n: int) -> int | Fraction:
     """(p,q)-Fibonacci number: seeds (0, 1)."""
     return horadam(fib_params(p, q), n)
 
 
-def lucas(p: int, q: int, n: int) -> Fraction:
+def lucas(p: int, q: int, n: int) -> int | Fraction:
     """(p,q)-Lucas number: seeds (2, p)."""
     return horadam(lucas_params(p, q), n)
 
@@ -129,11 +140,11 @@ class SeqCache:
 
     def __init__(self, params: HoradamParams) -> None:
         self.params = params
-        self._memo: dict[int, Fraction] = {0: Fraction(params.a), 1: Fraction(params.b)}
+        self._memo: dict[int, int | Fraction] = {0: params.a, 1: params.b}
         self._lo = 0
         self._hi = 1
 
-    def value(self, n: int) -> Fraction:
+    def value(self, n: int) -> int | Fraction:
         memo = self._memo
         p, q = self.params.p, self.params.q
         while self._hi < n:
@@ -141,15 +152,18 @@ class SeqCache:
             memo[self._hi] = p * memo[self._hi - 1] + q * memo[self._hi - 2]
         while self._lo > n:
             self._lo -= 1
-            memo[self._lo] = (memo[self._lo + 2] - p * memo[self._lo + 1]) / q
+            memo[self._lo] = _div_q(memo[self._lo + 2] - p * memo[self._lo + 1], q)
         return memo[n]
+
+    def hybrid(self, n: int) -> HybridNumber:
+        """Hybrid-valued element (X_n, X_{n+1}, X_{n+2}, X_{n+3})."""
+        value = self.value
+        return HybridNumber(value(n), value(n + 1), value(n + 2), value(n + 3))
 
 
 def hybrid_seq(params: HoradamParams, kind: str, n: int) -> HybridNumber:
     """Hybrid-valued sequence element (X_n, X_{n+1}, X_{n+2}, X_{n+3})."""
-    resolved = resolve_params(params, kind)
-    cache = SeqCache(resolved)
-    return HybridNumber(*(cache.value(n + k) for k in range(4)))
+    return SeqCache(resolve_params(params, kind)).hybrid(n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,7 +188,7 @@ def verify_scalar_identities(params: HoradamParams, rmax: int) -> ScalarIdentity
     checked = 0
     for r in range(rmax + 1):
         fr, lr = fib(p, q, r), lucas(p, q, r)
-        neg_q_r = Fraction(-q) ** r
+        neg_q_r = (-q) ** r
         failures = []
         if fib(p, q, 2 * r) != fr * lr:
             failures.append(f"F_2r != F_r*L_r at r={r}")

@@ -74,6 +74,46 @@ def lucas_oracle(p: int, q: int, n: int) -> Fraction:
     return seq_oracle(p, q, 2, p, n)
 
 
+class FracQuad:
+    """Reference x + y·s in Q[s]/(s²−d) with plain Fraction components."""
+
+    def __init__(self, x, y, d: int) -> None:
+        self.x, self.y, self.d = Fraction(x), Fraction(y), d
+
+    def __add__(self, other: FracQuad) -> FracQuad:
+        return FracQuad(self.x + other.x, self.y + other.y, self.d)
+
+    def __sub__(self, other: FracQuad) -> FracQuad:
+        return FracQuad(self.x - other.x, self.y - other.y, self.d)
+
+    def __mul__(self, other: FracQuad) -> FracQuad:
+        return FracQuad(
+            self.x * other.x + self.d * self.y * other.y,
+            self.x * other.y + self.y * other.x,
+            self.d,
+        )
+
+    def conjugate(self) -> FracQuad:
+        return FracQuad(self.x, -self.y, self.d)
+
+    def norm(self) -> Fraction:
+        return self.x * self.x - self.d * self.y * self.y
+
+    def inverse(self) -> FracQuad:
+        n = self.norm()
+        return FracQuad(self.x / n, -self.y / n, self.d)
+
+    def __truediv__(self, other: FracQuad) -> FracQuad:
+        return self * other.inverse()
+
+    def __pow__(self, exponent: int) -> FracQuad:
+        base = self if exponent >= 0 else self.inverse()
+        result = FracQuad(1, 0, self.d)
+        for _ in range(abs(exponent)):
+            result = result * base
+        return result
+
+
 GRID_PARAMS = grid_param_sets(DEFAULT_GRID)
 GRID_PQ = sorted({(params.p, params.q) for params in GRID_PARAMS})
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
 
-from hybridseq import HybridNumber
+import pytest
+
+from hybridseq import HybridNumber, binet, genfunc, sequences
 from hybridseq.cli import main
 
 EXPECTED_TABLE = """\
@@ -16,6 +19,25 @@ i       i       -1      1-h     ε+i
 ε       ε       1+h     0       -ε
 h       h       -(ε+i)  ε       1
 """
+
+
+# sha256 of stdout for fixed commands, recorded before values became
+# int-first; any change of number type must leave every stream byte-identical.
+GOLDEN_DIGESTS = {
+    "verify": "04d67a49c76ffc56c98f9d7156e7863bdd772a2ba61d379648b124b47ed727e8",
+    "verify --suite docagne --audit":
+        "608949f98e7353a987ae7c01a5de33faf35352189a0106548ad5ef4b7e5c9d4d",
+    "binet --p 1 --q 1 --to 300":
+        "878e8b2edd87c55cff1ff6bfce047d26c2202867683d2331f0b4b9deaa5f383c",
+    "binet --p -2 --q 3 --a 3 --b -1 --from -80 --to 50 --format csv":
+        "2c35c103375614413416c902bfe5a627c6a4dee37a935bd6a2e0862edb9440df",
+    "seq --p 2 --q 3 --from -1000 --to 1000":
+        "3ecba4a76ecda7cebea74538ff7d60155c7b84a85bb6207888220b4a6a8d9350",
+    "seq --p 1 --q -3 --a 2 --b 5 --from -60 --to 40 --kind scalar --format csv":
+        "25408d03c6bec68b8bff5689574810cca97c5ee14a5df0345af8d5282dee4a29",
+    "expand --p 2 --q 3 --terms 150":
+        "55c3c6b57098571b6a40467eedf98bdfe624b6cadf6bfe2db30e4b72599791d2",
+}
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +127,39 @@ class TestBinet:
         assert code == 2
         assert "nonzero" in err
 
+    def test_every_index_is_cross_checked(self, capsys, monkeypatch):
+        closed_form = binet.binet_horadam
+
+        def perturbed(ctx, n):
+            z = closed_form(ctx, n)
+            return z + HybridNumber(0, 0, 1, 0) if n == 37 else z
+
+        monkeypatch.setattr(binet, "binet_horadam", perturbed)
+        code, out, err = run_cli(
+            capsys, "binet", "--p", "2", "--q", "-3", "--from", "-20", "--to", "60"
+        )
+        assert code == 1
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"n": 37, "error": "binet/recurrence divergence"}
+        ]
+        assert [json.loads(line)["n"] for line in out.splitlines()] == [
+            n for n in range(-20, 61) if n != 37
+        ]
+
+    def test_one_recurrence_window_per_run(self, capsys, monkeypatch):
+        constructed = []
+        original_init = sequences.SeqCache.__init__
+
+        def counting_init(self, params):
+            constructed.append(params)
+            original_init(self, params)
+
+        monkeypatch.setattr(sequences.SeqCache, "__init__", counting_init)
+        code, out, _ = run_cli(capsys, "binet", "--p", "1", "--q", "1", "--from", "0", "--to", "499")
+        assert code == 0
+        assert len(out.splitlines()) == 500
+        assert len(constructed) <= 4
+
 
 class TestChar:
     def test_null_class(self, capsys):
@@ -141,6 +196,22 @@ class TestExpand:
         assert len(lines) == 9
         assert all(line["matches_seq"] for line in lines)
         assert lines[5]["coeff"] == {"s": "5", "i": "8", "e": "13", "h": "21"}
+
+    def test_perturbed_coefficient_fails_at_that_index(self, capsys, monkeypatch):
+        series = genfunc.expand
+
+        def perturbed(params, terms):
+            expansion = series(params, terms)
+            coeffs = list(expansion.coeffs)
+            coeffs[11] = coeffs[11] + HybridNumber(0, 1, 0, 0)
+            return genfunc.SeriesExpansion(expansion.params, tuple(coeffs))
+
+        monkeypatch.setattr(genfunc, "expand", perturbed)
+        code, out, _ = run_cli(capsys, "expand", "--p", "2", "--q", "3", "--terms", "30")
+        assert code == 1
+        matches = [json.loads(line)["matches_seq"] for line in out.splitlines()]
+        assert len(matches) == 31
+        assert [r for r, ok in enumerate(matches) if not ok] == [11]
 
 
 class TestVerify:
@@ -203,6 +274,13 @@ class TestVerify:
         _, first, _ = run_cli(capsys, "verify", "--suite", "square-difference", "--audit")
         _, second, _ = run_cli(capsys, "verify", "--suite", "square-difference", "--audit")
         assert first == second
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_DIGESTS))
+def test_golden_stdout_digest(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[command]
 
 
 class TestEntryPoint:

@@ -17,7 +17,7 @@ from hybridseq import (
     roots,
 )
 
-from helpers import GRID_PQ
+from helpers import GRID_PQ, FracQuad
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
@@ -206,3 +206,80 @@ def test_alpha_powers_expand_in_fib_basis():
         for n in range(1, 31):
             assert power == alpha * fib(p, q, n) + fib(p, q, n - 1) * Fraction(q), (p, q, n)
             power = power * alpha
+
+
+class TestIntegerNumerators:
+    """QuadExt keeps integer numerators over one denominator; check it
+    against the plain-Fraction reference ring op by op."""
+
+    @staticmethod
+    def same(u: QuadExt, ref: FracQuad) -> bool:
+        return (u.x, u.y, u.d) == (ref.x, ref.y, ref.d)
+
+    @given(st.sampled_from((5, -7, 8, 13)), rationals, rationals, rationals, rationals)
+    def test_ring_ops_match_fraction_reference(self, d, x1, y1, x2, y2):
+        u, v = QuadExt(x1, y1, d), QuadExt(x2, y2, d)
+        ru, rv = FracQuad(x1, y1, d), FracQuad(x2, y2, d)
+        assert self.same(u + v, ru + rv)
+        assert self.same(u - v, ru - rv)
+        assert self.same(u * v, ru * rv)
+        assert self.same(u.conjugate(), ru.conjugate())
+        assert u.norm() == ru.norm()
+        if rv.norm() != 0:
+            assert self.same(u / v, ru / rv)
+            assert self.same(v.inverse(), rv.inverse())
+
+    @given(st.sampled_from((5, -7, 8, 13)), rationals, rationals, st.integers(-7, 7))
+    def test_pow_matches_fraction_reference(self, d, x, y, exponent):
+        u, ref = QuadExt(x, y, d), FracQuad(x, y, d)
+        if exponent < 0 and ref.norm() == 0:
+            with pytest.raises(ZeroDivisionError):
+                u**exponent
+            return
+        assert self.same(u**exponent, ref**exponent)
+
+    @given(rationals, rationals, st.integers(-9, 9))
+    def test_scalar_ops_match_fraction_reference(self, x, y, k):
+        u, ref = QuadExt(x, y, 5), FracQuad(x, y, 5)
+        scalar = FracQuad(k, 0, 5)
+        assert self.same(u * k, ref * scalar)
+        assert self.same(u + k, ref + scalar)
+        assert self.same(k - u, scalar - ref)
+        assert self.same(u * x, ref * FracQuad(x, 0, 5))
+        if k:
+            assert self.same(u / k, ref / scalar)
+
+    @given(rationals, rationals)
+    def test_int_and_fraction_components_equal_and_hash_equal(self, x, y):
+        from_fraction = QuadExt(Fraction(x), Fraction(y), 8)
+        doubled = QuadExt(2 * x, 2 * y, 8) * Fraction(1, 2)
+        assert from_fraction == doubled
+        assert hash(from_fraction) == hash(doubled)
+        if x.denominator == 1 and y.denominator == 1:
+            from_int = QuadExt(int(x), int(y), 8)
+            assert from_int == from_fraction
+            assert hash(from_int) == hash(from_fraction)
+
+    def test_int_and_fraction_construction_agree(self):
+        assert QuadExt(3, -4, 5) == QuadExt(Fraction(6, 2), Fraction(-4), 5)
+        assert hash(QuadExt(3, -4, 5)) == hash(QuadExt(Fraction(6, 2), Fraction(-4), 5))
+        assert hash(QuadExt(3, -4, 5)) == hash((Fraction(3), Fraction(-4), 5))
+
+    def test_components_are_int_when_integral(self):
+        alpha, beta = roots(1, 1)
+        square = (alpha - beta) * (alpha - beta)
+        assert square == QuadExt(5, 0, 5)
+        assert type(square.x) is int and type(square.rational_part()) is int
+        assert alpha.x == Fraction(1, 2) and type(alpha.x) is Fraction
+
+    def test_rational_part_raises_on_s_residue_after_arithmetic(self):
+        alpha, beta = roots(2, 3)
+        with pytest.raises(IrrationalResidueError):
+            (alpha**5 - beta**5).rational_part()
+        assert (alpha**5 + beta**5).rational_part() == 2**5 + 5 * 2**3 * 3 + 5 * 2 * 9
+
+    def test_division_by_zero_scalar(self):
+        with pytest.raises(ZeroDivisionError):
+            QuadExt(1, 1, 5) / 0
+        with pytest.raises(ZeroDivisionError):
+            QuadExt(1, 1, 5) / Fraction(0)

@@ -185,3 +185,30 @@ class TestScalarIdentities:
     def test_whole_grid(self):
         for p, q in GRID_PQ:
             assert verify_scalar_identities(fib_params(p, q), 12).ok, (p, q)
+
+
+class TestIntegerFirstValues:
+    """Values stay int where they are integers and never become float."""
+
+    GRID = [(p, q) for p in (-2, -1, 1, 3) for q in (-3, -2, -1, 1, 2, 3) if p * p + 4 * q != 0]
+
+    @pytest.mark.parametrize("p,q", GRID)
+    def test_types_and_values_against_fraction_oracle(self, p, q):
+        for a, b in ((0, 1), (2, p), (3, -2)):
+            params = HoradamParams(p, q, a, b)
+            cache = SeqCache(params)
+            for n in range(-40, 41):
+                for value in (cache.value(n), horadam(params, n)):
+                    assert value == seq_oracle(p, q, a, b, n), (p, q, a, b, n)
+                    assert isinstance(value, (int, Fraction))
+                    if n >= 0 or abs(q) == 1:
+                        assert type(value) is int, (p, q, a, b, n, value)
+                    elif isinstance(value, Fraction):
+                        assert value.denominator != 1, (p, q, a, b, n)
+
+    def test_hybrid_window_matches_hybrid_seq(self):
+        params = HoradamParams(2, 3, 1, -1)
+        cache = SeqCache(params)
+        for n in range(-12, 13):
+            assert cache.hybrid(n) == hybrid_seq(params, "horadam", n)
+            assert cache.hybrid(n) == hybrid_oracle(2, 3, 1, -1, n)
