@@ -14,8 +14,8 @@ and the identity right-hand sides are built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactarith import QuadExt, roots
 from .hybrid import HybridNumber
@@ -26,8 +26,7 @@ class LemmaMismatchError(ArithmeticError):
     """A closed-form lemma disagreed with the direct product (a bug)."""
 
 
-@dataclass(frozen=True, slots=True)
-class BinetContext:
+class BinetContext(NamedTuple):
     """Immutable bundle of the closed-form constants for one parameter set.
 
     ``cross_shift`` is the scalar q³+pq−q+1 and ``omega`` the hybrid

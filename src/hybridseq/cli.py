@@ -10,10 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import binet, genfunc, identities, sequences
+from . import SUITES, sequences
 from .exactarith import format_rational, parse_rational
 from .hybrid import BASIS_LABELS, HybridNumber, basis_table, format_basis_product
+
+if TYPE_CHECKING:
+    from .identities import VerificationReport
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -67,6 +71,8 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 
 def cmd_binet(args: argparse.Namespace) -> int:
+    from . import binet
+
     params = _params_from_args(args)
     if args.start > args.stop:
         raise ValueError("--from must not exceed --to")
@@ -111,6 +117,8 @@ def cmd_char(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
+    from . import genfunc
+
     params = _params_from_args(args)
     report = genfunc.check_expansion(params, args.terms)
     writer = _csv_writer() if args.format == "csv" else None
@@ -126,7 +134,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return 0 if report.ok else VERIFY_ERROR
 
 
-def _case_json(report: identities.VerificationReport, audit: bool) -> dict:
+def _case_json(report: VerificationReport, audit: bool) -> dict:
     case = report.case
     payload = {
         "identity": case.name,
@@ -150,6 +158,8 @@ def _case_json(report: identities.VerificationReport, audit: bool) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import identities
+
     config = identities.parse_grid_file(args.grid) if args.grid else None
     result = identities.run_suite(config, args.suite)
     if args.format == "csv":
@@ -247,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--suite",
         default="all",
-        help="identity to verify, or 'all' (choices: %s)" % ", ".join(identities.SUITES),
+        help="identity to verify, or 'all' (choices: %s)" % ", ".join(SUITES),
     )
     verify.add_argument("--audit", action="store_true", help="include per-variant outcomes")
     verify.add_argument("--grid", help="grid file (key=value lines: p, q, ab, nmax, rmax)")
@@ -262,9 +272,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ZeroDivisionError) as exc:
+    except (ValueError, OSError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ArithmeticError as exc:  # a closed form or lemma disagreed: a failed check
+        print(f"error: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ recurrence-generated sequence is a genuinely independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .hybrid import HybridNumber
 from .sequences import HoradamParams, SeqCache
@@ -38,8 +38,7 @@ def numerator_hybrids(params: HoradamParams) -> tuple[HybridNumber, HybridNumber
     return constant, linear
 
 
-@dataclass(frozen=True, slots=True)
-class SeriesExpansion:
+class SeriesExpansion(NamedTuple):
     params: HoradamParams
     coeffs: tuple[HybridNumber, ...]
 
@@ -58,8 +57,7 @@ def expand(params: HoradamParams, terms: int) -> SeriesExpansion:
     return SeriesExpansion(params, coeffs)
 
 
-@dataclass(frozen=True, slots=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     ok: bool
     matches: tuple[bool, ...]
     first_mismatch: int | None

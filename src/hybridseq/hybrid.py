@@ -13,15 +13,12 @@ Components may live in any commutative coefficient ring: plain integers,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exactarith import format_rational, parse_rational
 
 
-@dataclass(frozen=True, slots=True)
-class HybridNumber:
+class HybridNumber(NamedTuple):
     """Quadruple (s, i, e, h): scalar part and the i/ε/h coefficients."""
 
     s: object

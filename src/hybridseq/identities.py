@@ -17,25 +17,14 @@ exactly, while ``printed`` outcomes are reported for auditing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
+from typing import NamedTuple
 
+from . import SUITES
 from .binet import BinetContext, make_context
 from .hybrid import HybridNumber
 from .sequences import HoradamParams, SeqCache, fib_params, lucas_params
-
-SUITES = (
-    "catalan",
-    "cassini",
-    "docagne",
-    "adjacent-commutator",
-    "lucas-fib-exchange",
-    "square-difference",
-    "horadam-commutator",
-    "diag-commutator",
-)
 
 VERDICT_PASS = "pass"
 VERDICT_AUDIT = "printed-fails-variant-passes"
@@ -46,8 +35,7 @@ class GridConfigError(ValueError):
     """Invalid verification grid configuration."""
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     """One grid point: identity name, parameters, and index tuple."""
 
     name: str
@@ -56,16 +44,14 @@ class IdentityCase:
     extended: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class VariantResult:
+class VariantResult(NamedTuple):
     label: str
     value: HybridNumber
     passed: bool
     authoritative: bool
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     case: IdentityCase
     lhs: HybridNumber
     variants: tuple[VariantResult, ...]
@@ -306,17 +292,21 @@ def diag_commutator(ctx: BinetContext, n: int) -> VerificationReport:
 EXTENDED_RANGE = range(-5, 0)
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    """Cartesian verification grid; (p,q) pairs with p²+4q = 0 are skipped."""
-
+class _GridFields(NamedTuple):
     ps: tuple[int, ...] = (1, 2, 3)
     qs: tuple[int, ...] = (-2, -1, 1, 2)
     ab: tuple[tuple[int | str, int | str], ...] = ((0, 1), (2, "p"), (1, 1), (2, 3))
     nmax: int = 10
     rmax: int = 6
 
-    def __post_init__(self) -> None:
+
+class GridConfig(_GridFields):
+    """Cartesian verification grid; (p,q) pairs with p²+4q = 0 are skipped."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> GridConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if any(q == 0 for q in self.qs):
             raise GridConfigError("grid q values must be nonzero")
         if self.nmax < 0 or self.rmax < 0:
@@ -324,6 +314,11 @@ class GridConfig:
         for pair in self.ab:
             if len(pair) != 2 or not all(isinstance(v, int) or v == "p" for v in pair):
                 raise GridConfigError(f"bad seed pair {pair!r}: want ints or 'p'")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> GridConfig:  # so that _replace validates too
+        return cls(*iterable)
 
 
 DEFAULT_GRID = GridConfig()
@@ -383,8 +378,9 @@ def parse_grid_text(text: str) -> GridConfig:
     return GridConfig(**fields)
 
 
-def parse_grid_file(path: str | Path) -> GridConfig:
-    return parse_grid_text(Path(path).read_text(encoding="utf-8"))
+def parse_grid_file(path: str) -> GridConfig:
+    with open(path, encoding="utf-8") as fh:
+        return parse_grid_text(fh.read())
 
 
 def grid_param_sets(config: GridConfig) -> list[HoradamParams]:
@@ -413,10 +409,12 @@ def _distinct_pq(param_sets: list[HoradamParams]) -> list[tuple[int, int]]:
     return seen
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    reports: list[VerificationReport] = field(default_factory=list)
+    """The reports of one :func:`run_suite` call, in run order."""
+
+    def __init__(self, suite: str, reports: list[VerificationReport] | None = None) -> None:
+        self.suite = suite
+        self.reports = [] if reports is None else reports
 
     @property
     def cases(self) -> int:

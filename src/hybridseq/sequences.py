@@ -10,8 +10,8 @@ where the backward division by q is inexact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactarith import roots
 from .hybrid import HybridNumber
@@ -19,20 +19,28 @@ from .hybrid import HybridNumber
 SEQ_KINDS = ("fib", "lucas", "horadam")
 
 
-@dataclass(frozen=True, slots=True)
-class HoradamParams:
-    """Recurrence parameters (p, q) and seed values (a, b) = (X_0, X_1)."""
-
+class _HoradamFields(NamedTuple):
     p: int
     q: int
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        if self.q == 0:
+
+class HoradamParams(_HoradamFields):
+    """Recurrence parameters (p, q) and seed values (a, b) = (X_0, X_1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int, a: int, b: int) -> HoradamParams:
+        if q == 0:
             raise ValueError("q must be nonzero (backward recurrence divides by q)")
-        if self.discriminant == 0:
+        if p * p + 4 * q == 0:
             raise ValueError("p²+4q must be nonzero (distinct characteristic roots)")
+        return super().__new__(cls, p, q, a, b)
+
+    @classmethod
+    def _make(cls, iterable) -> HoradamParams:  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def discriminant(self) -> int:
@@ -166,8 +174,7 @@ def hybrid_seq(params: HoradamParams, kind: str, n: int) -> HybridNumber:
     return SeqCache(resolve_params(params, kind)).hybrid(n)
 
 
-@dataclass(frozen=True, slots=True)
-class ScalarIdentityReport:
+class ScalarIdentityReport(NamedTuple):
     ok: bool
     checked: int
     first_failure: str | None

@@ -186,6 +186,33 @@ class TestChar:
         assert code == 2
 
 
+class TestArithmeticErrors:
+    def test_overflow_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "char", "1e400,0,0,0")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_closed_form_failure_is_a_verification_error(self, capsys, monkeypatch):
+        def broken(ctx, n):
+            raise binet.LemmaMismatchError(f"closed form failed at n={n}")
+
+        monkeypatch.setattr(binet, "binet_horadam", broken)
+        code, _, err = run_cli(capsys, "binet", "--p", "1", "--q", "1", "--to", "3")
+        assert code == 1
+        assert err == "error: closed form failed at n=0\n"
+
+    def test_no_traceback_from_the_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hybridseq", "char", "1e400,0,0,0"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+
 class TestExpand:
     def test_matches_sequence(self, capsys):
         code, out, _ = run_cli(
