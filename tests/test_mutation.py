@@ -1,0 +1,189 @@
+"""Mutation guard: each planted bug must fail exactly its recorded suites.
+
+The verifier computes the two sides of every identity by independent code:
+the left side multiplies recurrence windows, the right side is built from
+scalar sequence values and closed-form constants.  If a refactor let one
+side reuse the other's code, a bug could confirm itself and the suite that
+used to catch it would go quiet.  Each mutant below is a one-unit or
+one-sign monkeypatch, and ``KILL_MATRIX`` pins the set of suites that
+report a gated failure under it, so a change that weakens a suite changes
+a row and fails here.
+
+``MUTATION_GRID`` (684 cases) gives the same matrix as the default grid
+(17,530 cases) at a small fraction of the cost.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from hybridseq import SUITES, GridConfig, HybridNumber, fib_params, identities, run_suite, sequences
+
+from helpers import rand_hybrid
+
+MUTATION_GRID = GridConfig(ps=(1, 2), qs=(-1, 2), ab=((0, 1), (2, 3)), nmax=4, rmax=2)
+
+_CACHES = (identities._ctx, identities._seq_cache, identities._hyb, identities._prod,
+           identities._rhs_consts)
+
+
+def _clear_identity_caches() -> None:
+    for cached in _CACHES:
+        cached.cache_clear()
+
+
+def _rhs_const_mutant(index: int, component: str):
+    """One unit added to one component of one `_rhs_consts` hybrid."""
+
+    def install(monkeypatch) -> None:
+        original = identities._rhs_consts
+
+        def mutated(p, q):
+            consts = list(original(p, q))
+            z = consts[index]
+            consts[index] = z._replace(**{component: getattr(z, component) + 1})
+            return tuple(consts)
+
+        monkeypatch.setattr(identities, "_rhs_consts", mutated)
+
+    return install
+
+
+def _product(cross_sign: int = 1, scalar_ie: bool = True, h_sign: int = 1):
+    """`HybridNumber.__mul__`, with one term optionally mutated."""
+
+    def mul(self, other):
+        if not isinstance(other, HybridNumber):
+            return self.scale(other)
+        a1, b1, c1, d1 = self
+        a2, b2, c2, d2 = other
+        cross = cross_sign * (b1 * d2 - d1 * b2)
+        ie = b1 * c2 + c1 * b2 if scalar_ie else 0
+        return HybridNumber(
+            a1 * a2 - b1 * b2 + ie + d1 * d2,
+            a1 * b2 + b1 * a2 + cross,
+            a1 * c2 + c1 * a2 + cross - c1 * d2 + d1 * c2,
+            a1 * d2 + d1 * a2 - b1 * c2 + h_sign * c1 * b2,
+        )
+
+    return mul
+
+
+def _mul_mutant(**flags):
+    def install(monkeypatch) -> None:
+        monkeypatch.setattr(HybridNumber, "__mul__", _product(**flags))
+
+    return install
+
+
+def _neg_q_pow_parity(monkeypatch) -> None:
+    """q^n in place of (−q)^n: wrong sign at every odd n."""
+    original = identities._neg_q_pow
+    monkeypatch.setattr(identities, "_neg_q_pow", lambda q, n: original(-q, n))
+
+
+def _scalar_fib_shift(monkeypatch) -> None:
+    """F_{r+1} in place of F_r wherever the right side reads a Fibonacci value."""
+    original = identities._scalar
+
+    def mutated(params, n):
+        if params == fib_params(params.p, params.q):
+            return original(params, n + 1)
+        return original(params, n)
+
+    monkeypatch.setattr(identities, "_scalar", mutated)
+
+
+def _div_q_off_by_one(monkeypatch) -> None:
+    """One unit too much on every division by q (the backward direction)."""
+    original = sequences._div_q
+    monkeypatch.setattr(sequences, "_div_q", lambda value, q: original(value, q) + 1)
+
+
+MUTANTS = {
+    **{
+        f"rhs_consts[{index}].{component}+1": _rhs_const_mutant(index, component)
+        for index in range(4)
+        for component in HybridNumber._fields
+    },
+    "mul: cross term sign flipped": _mul_mutant(cross_sign=-1),
+    "mul: i·ε terms dropped from scalar part": _mul_mutant(scalar_ie=False),
+    "mul: h part commutative": _mul_mutant(h_sign=-1),
+    "_neg_q_pow parity": _neg_q_pow_parity,
+    "_scalar F_r -> F_r+1": _scalar_fib_shift,
+    "sequences._div_q +1": _div_q_off_by_one,
+}
+
+# the suites whose right side reads HL₀ − cross_shift, resp. HF₀ − omega
+_READS_LUCAS_SHIFTED = {"catalan", "cassini", "docagne", "lucas-fib-exchange", "square-difference"}
+_READS_FIB_SHIFTED = {
+    "catalan", "cassini", "docagne",
+    "adjacent-commutator", "horadam-commutator", "diag-commutator",
+}
+
+KILL_MATRIX: dict[str, set[str]] = {
+    **{f"rhs_consts[0].{c}+1": _READS_LUCAS_SHIFTED for c in HybridNumber._fields},
+    **{f"rhs_consts[1].{c}+1": _READS_FIB_SHIFTED for c in HybridNumber._fields},
+    **{f"rhs_consts[2].{c}+1": {"square-difference"} for c in HybridNumber._fields},
+    **{f"rhs_consts[3].{c}+1": {"square-difference"} for c in HybridNumber._fields},
+    # the sign flip survives lucas-fib-exchange and square-difference, and
+    # dropping the i·ε terms survives all three commutator suites
+    "mul: cross term sign flipped": _READS_FIB_SHIFTED,
+    "mul: i·ε terms dropped from scalar part": _READS_LUCAS_SHIFTED,
+    "mul: h part commutative": set(SUITES),
+    "_neg_q_pow parity": set(SUITES),
+    "_scalar F_r -> F_r+1": {
+        "catalan", "cassini", "docagne",
+        "lucas-fib-exchange", "square-difference", "horadam-commutator",
+    },
+    "sequences._div_q +1": {"catalan", "cassini", "docagne", "lucas-fib-exchange"},
+}
+
+
+def failing_suites(grid: GridConfig) -> set[str]:
+    """Suites whose gated cases do not all pass (or that raise) on the grid."""
+    failed = set()
+    for suite in SUITES:
+        try:
+            ok = run_suite(grid, suite).all_authoritative_pass
+        except ArithmeticError:
+            ok = False
+        if not ok:
+            failed.add(suite)
+    return failed
+
+
+@pytest.fixture
+def fresh_caches():
+    _clear_identity_caches()
+    yield
+    _clear_identity_caches()
+
+
+def test_matrix_covers_every_mutant():
+    assert set(KILL_MATRIX) == set(MUTANTS)
+    assert len(MUTANTS) == 22
+
+
+def test_grid_size():
+    assert run_suite(MUTATION_GRID).cases == 684
+
+
+def test_unmutated_product_matches_library():
+    rng = random.Random(7)
+    mul = _product()
+    for _ in range(200):
+        z, w = rand_hybrid(rng), rand_hybrid(rng)
+        assert mul(z, w) == z * w
+
+
+def test_unmutated_program_fails_nothing(fresh_caches):
+    assert failing_suites(MUTATION_GRID) == set()
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_kill_set_matches_matrix(name, monkeypatch, fresh_caches):
+    MUTANTS[name](monkeypatch)
+    assert failing_suites(MUTATION_GRID) == KILL_MATRIX[name]
