@@ -160,8 +160,15 @@ def _case_json(report: VerificationReport, audit: bool) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import identities
 
+    if args.audit and args.format == "csv":
+        raise ValueError("--audit needs --format json (csv has no per-variant columns)")
     config = identities.parse_grid_file(args.grid) if args.grid else None
     result = identities.run_suite(config, args.suite)
+    if result.cases == result.extended_cases:
+        raise identities.GridConfigError(
+            f"nothing to verify: suite {args.suite!r} has no gated case on this grid "
+            f"({result.cases} cases, all extended-domain probes)"
+        )
     if args.format == "csv":
         writer = _csv_writer()
         writer(["identity", "p", "q", "a", "b", "indices", "extended", "verdict",

@@ -346,6 +346,7 @@ def parse_grid_text(text: str) -> GridConfig:
         rmax=6
     """
     fields: dict = {}
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -354,7 +355,12 @@ def parse_grid_text(text: str) -> GridConfig:
             raise GridConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in seen:
+            raise GridConfigError(f"line {lineno}: grid key {key!r} is given twice")
+        seen.add(key)
         items = [item for item in value.split(",") if item.strip()]
+        if not items and key in ("p", "q", "ab"):
+            raise GridConfigError(f"line {lineno}: grid key {key!r} has no values")
         if key in ("p", "q"):
             values = tuple(_parse_grid_token(item) for item in items)
             if any(not isinstance(v, int) for v in values):

@@ -2,10 +2,11 @@
 
 All sequences obey X_n = p·X_{n−1} + q·X_{n−2} and are extended to
 negative indices through the backward step X_{n−2} = (X_n − p·X_{n−1})/q,
-which is exact in rationals (and is why q = 0 is rejected).  Values are
-``int`` while they are integral: every value at n ≥ 0, and every value at
-all n when |q| = 1.  A value becomes a :class:`~fractions.Fraction` only
-where the backward division by q is inexact.
+which is exact in rationals (and is why q = 0 is rejected).  Every value
+comes from one evaluator: seek to an index by companion-matrix powering,
+then step with the recurrence.  Values are ``int`` while they are
+integral: every value at n ≥ 0, and every value at all n when |q| = 1.
+A value is a :class:`~fractions.Fraction` only where it is not an integer.
 """
 
 from __future__ import annotations
@@ -75,30 +76,6 @@ def _div_q(value: int | Fraction, q: int) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
-def horadam(params: HoradamParams, n: int) -> int | Fraction:
-    """The n-th sequence value for any signed index, computed iteratively."""
-    lo, hi = params.a, params.b
-    if n >= 0:
-        if n == 0:
-            return lo
-        for _ in range(n - 1):
-            lo, hi = hi, params.p * hi + params.q * lo
-        return hi
-    for _ in range(-n):
-        lo, hi = _div_q(hi - params.p * lo, params.q), lo
-    return lo
-
-
-def fib(p: int, q: int, n: int) -> int | Fraction:
-    """(p,q)-Fibonacci number: seeds (0, 1)."""
-    return horadam(fib_params(p, q), n)
-
-
-def lucas(p: int, q: int, n: int) -> int | Fraction:
-    """(p,q)-Lucas number: seeds (2, p)."""
-    return horadam(lucas_params(p, q), n)
-
-
 def _mat_mul(x, y):
     return (
         x[0] * y[0] + x[1] * y[2],
@@ -118,46 +95,67 @@ def _mat_pow(m, n: int):
     return result
 
 
-def horadam_fast(params: HoradamParams, n: int) -> Fraction:
-    """Same value as :func:`horadam` via companion-matrix binary powering.
+def _seek(params: HoradamParams, n: int) -> tuple[int | Fraction, int | Fraction]:
+    """(X_n, X_{n+1}) by companion-matrix powering over Z, O(log |n|) products.
 
-    [X_{n+1}, X_n] = [[p, q], [1, 0]]ⁿ · [X_1, X_0]; negative indices use
-    the exact rational inverse of the companion matrix.
+    [X_{n+1}, X_n] = [[p, q], [1, 0]]ⁿ · [X_1, X_0].  For n = −k < 0 the
+    inverse is [[0, q], [1, −p]]ᵏ / qᵏ: the integer matrix is powered and
+    the division by qᵏ happens once, at the end.
     """
+    p, q, a, b = params
     if n >= 0:
-        m = _mat_pow((params.p, params.q, 1, 0), n)
-    else:
-        inverse = (
-            Fraction(0),
-            Fraction(1),
-            Fraction(1, params.q),
-            Fraction(-params.p, params.q),
-        )
-        m = _mat_pow(inverse, -n)
-    return Fraction(m[2] * params.b + m[3] * params.a)
+        m = _mat_pow((p, q, 1, 0), n)
+        return m[2] * b + m[3] * a, m[0] * b + m[1] * a
+    m = _mat_pow((0, q, 1, -p), -n)
+    q_k = q ** -n
+    return _div_q(m[2] * b + m[3] * a, q_k), _div_q(m[0] * b + m[1] * a, q_k)
+
+
+def horadam(params: HoradamParams, n: int) -> int | Fraction:
+    """The n-th sequence value for any signed index, in O(log |n|) products."""
+    return _seek(params, n)[0]
+
+
+horadam_fast = horadam  # the published name; there is one O(log |n|) evaluator
+
+
+def fib(p: int, q: int, n: int) -> int | Fraction:
+    """(p,q)-Fibonacci number: seeds (0, 1)."""
+    return horadam(fib_params(p, q), n)
+
+
+def lucas(p: int, q: int, n: int) -> int | Fraction:
+    """(p,q)-Lucas number: seeds (2, p)."""
+    return horadam(lucas_params(p, q), n)
 
 
 class SeqCache:
     """Memoized two-sided sequence evaluator.
 
-    Values are filled contiguously outward from indices 0 and 1, so every
-    cached entry satisfies the recurrence exactly.  Instances are mutable
-    and single-owner; use one per task (or the pure :func:`horadam` path)
-    when evaluating concurrently.
+    Seeks to the first index asked for, then grows outward one recurrence
+    step at a time: the memo holds just the contiguous span requested, a
+    window [lo, hi] costs O(log |lo|) products plus its length, and every
+    entry satisfies the recurrence exactly.  Instances are mutable and
+    single-owner; use one per task (or the pure :func:`horadam` path) when
+    evaluating concurrently.
     """
 
     def __init__(self, params: HoradamParams) -> None:
         self.params = params
-        self._memo: dict[int, int | Fraction] = {0: params.a, 1: params.b}
-        self._lo = 0
-        self._hi = 1
+        self._memo: dict[int, int | Fraction] = {}
 
     def value(self, n: int) -> int | Fraction:
         memo = self._memo
+        if not memo:
+            memo[n], memo[n + 1] = _seek(self.params, n)
+            self._lo, self._hi = n, n + 1
         p, q = self.params.p, self.params.q
         while self._hi < n:
             self._hi += 1
-            memo[self._hi] = p * memo[self._hi - 1] + q * memo[self._hi - 2]
+            value = p * memo[self._hi - 1] + q * memo[self._hi - 2]
+            if type(value) is Fraction and value.denominator == 1:
+                value = value.numerator
+            memo[self._hi] = value
         while self._lo > n:
             self._lo -= 1
             memo[self._lo] = _div_q(memo[self._lo + 2] - p * memo[self._lo + 1], q)

@@ -284,6 +284,32 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--grid", str(grid))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "grid_text,suite",
+        [
+            ("p=\n", "all"),  # no p values
+            ("ab=\n", "all"),  # no seed pairs
+            ("p=2\nq=-1\n", "all"),  # the only (p, q) pair has p²+4q = 0
+            ("p=1,2\np=3\n", "all"),  # repeated key
+            ("nmax=0\n", "cassini"),  # 200 extended-domain probes, none gated
+        ],
+    )
+    def test_vacuous_or_ambiguous_grid_is_usage_error(self, capsys, tmp_path, grid_text, suite):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(grid_text)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--grid", str(grid))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_audit_with_csv_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "cassini", "--format", "csv", "--audit"
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "fermat")
         assert code == 2

@@ -273,6 +273,16 @@ class TestGridConfig:
         with pytest.raises(GridConfigError):
             parse_grid_text("ab=01\n")
 
+    @pytest.mark.parametrize("text", ["p=\n", "p=1\nq= , \n", "ab=\n"])
+    def test_empty_value_list_rejected(self, text):
+        lineno = len(text.splitlines())
+        with pytest.raises(GridConfigError, match=f"line {lineno}: .* has no values"):
+            parse_grid_text(text)
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(GridConfigError, match="line 3: grid key 'p' is given twice"):
+            parse_grid_text("p=1\nq=1\np=2\n")
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(GridConfigError):
             run_suite(suite="fermat")

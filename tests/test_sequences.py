@@ -99,6 +99,21 @@ class TestFastPath:
                     assert horadam_fast(params, n) == cache.value(n), (params, n)
 
 
+class TestSeek:
+    """Far indices against the index-by-index oracle, on both sides of 0."""
+
+    PARAMS = [(1, 1, 0, 1), (2, -3, 2, 5), (-1, 2, 3, -2), (3, 4, 1, 2)]
+
+    @pytest.mark.parametrize("p,q,a,b", PARAMS)
+    @pytest.mark.parametrize("n", [-3000, -1000, 1000, 3000])
+    def test_far_index_matches_oracle(self, p, q, a, b, n):
+        value = horadam(HoradamParams(p, q, a, b), n)
+        expected = seq_oracle(p, q, a, b, n)
+        assert value == expected
+        # an int exactly when integral
+        assert type(value) is (int if expected.denominator == 1 else Fraction)
+
+
 class TestSeqCache:
     def test_matches_pure_path(self):
         params = HoradamParams(3, -2, 1, 1)
@@ -114,6 +129,19 @@ class TestSeqCache:
         memo = cache._memo
         for n in range(-6, 19):
             assert params.p * memo[n + 1] + params.q * memo[n] == memo[n + 2]
+
+    @pytest.mark.parametrize("n", [10**6, -(10**6)])
+    def test_far_value_memoizes_two_entries(self, n):
+        # p = 1, q = −1 has period 6, so the value is known without a walk
+        cache = SeqCache(HoradamParams(1, -1, 0, 1))
+        assert cache.value(n) == (0, 1, 1, 0, -1, -1)[n % 6]
+        assert len(cache._memo) == 2
+
+    def test_memo_spans_only_the_requested_window(self):
+        cache = SeqCache(HoradamParams(2, 3, 1, -1))
+        for n in range(-50, 51):
+            cache.hybrid(n)
+        assert sorted(cache._memo) == list(range(-50, 54))
 
 
 class TestHybridSeq:
