@@ -8,7 +8,6 @@ streams.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING
 
@@ -17,18 +16,93 @@ from .exactarith import format_rational, parse_rational
 from .hybrid import BASIS_LABELS, HybridNumber, basis_table, format_basis_product
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .identities import VerificationReport
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
+# seq, binet and expand print no numerator or denominator of more than
+# DIGIT_CAP decimal digits (CPython's default int-to-str limit).  A window
+# over the cap is a usage error, found by counting bits before any output.
+DIGIT_CAP = 4300
+_CAP_POW = 10**DIGIT_CAP
+_CAP_BITS = _CAP_POW.bit_length()
+
+# One fixed template per output line; every field is an int or a rational
+# string of digits, "-" and "/", so no JSON escaping is ever needed.
+_HYB = '{"s":"%s","i":"%s","e":"%s","h":"%s"}'
+_SEQ_LINES = {  # (kind, format) -> (header, line)
+    ("scalar", "json"): ("", '{"n":%d,"value":"%s"}\n'),
+    ("scalar", "csv"): ("n,value\n", "%d,%s\n"),
+    ("hybrid", "json"): ("", '{"n":%d,"hybrid":' + _HYB + "}\n"),
+    ("hybrid", "csv"): ("n,s,i,e,h\n", "%d,%s,%s,%s,%s\n"),
+}
+_BINET_LINES = {
+    "json": ("", '{"n":%d,"hybrid":' + _HYB + ',"method":"binet"}\n'),
+    "csv": ("n,s,i,e,h,method\n", "%d,%s,%s,%s,%s,binet\n"),
+}
+_EXPAND_LINES = {
+    "json": ("", '{"r":%d,"coeff":' + _HYB + ',"matches_seq":%s}\n'),
+    "csv": ("r,s,i,e,h,matches_seq\n", "%d,%s,%s,%s,%s,%s\n"),
+}
+_VERIFY_CASE = (
+    '{"identity":"%s","params":{"p":%d,"q":%d,"a":%d,"b":%d},"indices":[%s],'
+    '"extended":%s,"verdict":"%s"}\n'
+)
+
 
 def _jline(obj: dict) -> str:
+    import json  # only char, the verify summary, --audit and binet's stderr need it
+
     return json.dumps(obj, separators=(",", ":"))
 
 
 def _hybrid_csv(z: HybridNumber) -> list[str]:
     return [format_rational(c) for c in z.parts()]
+
+
+def _over_cap(value: int | Fraction) -> bool:
+    """Whether a numerator or denominator has more than DIGIT_CAP digits.
+
+    Decided by bit length, and by one comparison with 10**DIGIT_CAP for
+    the lengths where bits alone cannot tell; never by rendering.
+    """
+    num, den = value.numerator, value.denominator
+    if num.bit_length() < _CAP_BITS and den.bit_length() < _CAP_BITS:
+        return False
+    return abs(num) >= _CAP_POW or den >= _CAP_POW
+
+
+def _cap_error(name: str, index: int) -> ValueError:
+    return ValueError(
+        f"{name}={index} needs a value of more than {DIGIT_CAP} digits (the output cap)"
+    )
+
+
+def _window(cache: sequences.SeqCache, start: int, stop: int, width: int) -> list:
+    """X_start … X_{stop+width−1}, checked against the cap before any output.
+
+    Line n shows X_n … X_{n+width−1}, so the error names the first line
+    that would hold a value over the cap.
+    """
+    values = cache.window(start, stop + width - 1)
+    for k, value in enumerate(values):
+        if _over_cap(value):
+            raise _cap_error("n", max(start, start + k - width + 1))
+    return values
+
+
+def _rendered(values: list, start: int, width: int):
+    """(n, text of X_n, …, text of X_{n+width−1}) per line, where values
+    starts at X_start.  Consecutive lines share width − 1 values, so each
+    value is rendered once."""
+    texts = [format_rational(v) for v in values[: width - 1]]
+    for n, value in enumerate(values[width - 1 :], start):
+        texts.append(format_rational(value))
+        yield (n, *texts)
+        del texts[0]
 
 
 def _params_from_args(args: argparse.Namespace) -> sequences.HoradamParams:
@@ -49,24 +123,14 @@ def cmd_seq(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     if args.start > args.stop:
         raise ValueError("--from must not exceed --to")
-    writer = _csv_writer() if args.format == "csv" else None
-    if writer:
-        writer(["n", "value"] if args.kind == "scalar" else ["n", "s", "i", "e", "h"])
-    resolved = sequences.resolve_params(params, args.seq)
-    cache = sequences.SeqCache(resolved)
-    for n in range(args.start, args.stop + 1):
-        if args.kind == "scalar":
-            value = cache.value(n)
-            if writer:
-                writer([str(n), format_rational(value)])
-            else:
-                print(_jline({"n": n, "value": format_rational(value)}))
-        else:
-            z = cache.hybrid(n)
-            if writer:
-                writer([str(n), *_hybrid_csv(z)])
-            else:
-                print(_jline({"n": n, "hybrid": z.to_json_dict()}))
+    width = 1 if args.kind == "scalar" else 4
+    cache = sequences.SeqCache(sequences.resolve_params(params, args.seq))
+    values = _window(cache, args.start, args.stop, width)
+    header, line = _SEQ_LINES[args.kind, args.format]
+    write = sys.stdout.write
+    write(header)
+    for row in _rendered(values, args.start, width):
+        write(line % row)
     return 0
 
 
@@ -77,22 +141,20 @@ def cmd_binet(args: argparse.Namespace) -> int:
     if args.start > args.stop:
         raise ValueError("--from must not exceed --to")
     resolved = sequences.resolve_params(params, args.seq)
-    ctx = binet.make_context(resolved)
-    writer = _csv_writer() if args.format == "csv" else None
-    if writer:
-        writer(["n", "s", "i", "e", "h", "method"])
     window = sequences.SeqCache(resolved)
+    values = _window(window, args.start, args.stop, 4)
+    ctx = binet.make_context(resolved)
+    header, line = _BINET_LINES[args.format]
+    write = sys.stdout.write
+    write(header)
     divergence = False
-    for n in range(args.start, args.stop + 1):
-        z = binet.binet_horadam(ctx, n)
-        if z != window.hybrid(n):
+    for row in _rendered(values, args.start, 4):
+        n = row[0]
+        if binet.binet_horadam(ctx, n) != window.hybrid(n):
             print(_jline({"n": n, "error": "binet/recurrence divergence"}), file=sys.stderr)
             divergence = True
             continue
-        if writer:
-            writer([str(n), *_hybrid_csv(z), "binet"])
-        else:
-            print(_jline({"n": n, "hybrid": z.to_json_dict(), "method": "binet"}))
+        write(line % row)
     return VERIFY_ERROR if divergence else 0
 
 
@@ -108,9 +170,8 @@ def cmd_char(args: argparse.Namespace) -> int:
         "norm_class": norm.sign_class,
     }
     if args.format == "csv":
-        writer = _csv_writer()
-        writer(["character", "norm_value", "norm_class"])
-        writer([payload["character"], str(norm.value), norm.sign_class])
+        print("character,norm_value,norm_class")
+        print(f"{payload['character']},{norm.value},{norm.sign_class}")
     else:
         print(_jline(payload))
     return 0
@@ -121,31 +182,36 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
     params = _params_from_args(args)
     report = genfunc.check_expansion(params, args.terms)
-    writer = _csv_writer() if args.format == "csv" else None
-    if writer:
-        writer(["r", "s", "i", "e", "h", "matches_seq"])
-    for r, coeff in enumerate(report.expansion.coeffs):
-        if writer:
-            writer([str(r), *_hybrid_csv(coeff), str(report.matches[r]).lower()])
-        else:
-            print(
-                _jline({"r": r, "coeff": coeff.to_json_dict(), "matches_seq": report.matches[r]})
-            )
+    coeffs = report.expansion.coeffs
+    for r, coeff in enumerate(coeffs):
+        if any(map(_over_cap, coeff)):
+            raise _cap_error("r", r)
+    header, line = _EXPAND_LINES[args.format]
+    write = sys.stdout.write
+    write(header)
+    for r, (coeff, match) in enumerate(zip(coeffs, report.matches)):
+        write(line % (r, *map(format_rational, coeff), "true" if match else "false"))
     return 0 if report.ok else VERIFY_ERROR
 
 
-def _case_json(report: VerificationReport, audit: bool) -> dict:
+def _case_line(report: VerificationReport) -> str:
     case = report.case
-    payload = {
+    return _VERIFY_CASE % (
+        case.name, *case.params, ",".join(map(str, case.indices)),
+        "true" if case.extended else "false", report.verdict,
+    )
+
+
+def _audit_json(report: VerificationReport) -> dict:
+    case = report.case
+    return {
         "identity": case.name,
         "params": {"p": case.params.p, "q": case.params.q, "a": case.params.a, "b": case.params.b},
         "indices": list(case.indices),
         "extended": case.extended,
         "verdict": report.verdict,
-    }
-    if audit:
-        payload["lhs"] = report.lhs.to_json_dict()
-        payload["variants"] = [
+        "lhs": report.lhs.to_json_dict(),
+        "variants": [
             {
                 "label": v.label,
                 "authoritative": v.authoritative,
@@ -153,8 +219,8 @@ def _case_json(report: VerificationReport, audit: bool) -> dict:
                 "value": v.value.to_json_dict(),
             }
             for v in report.variants
-        ]
-    return payload
+        ],
+    }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -170,22 +236,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"({result.cases} cases, all extended-domain probes)"
         )
     if args.format == "csv":
-        writer = _csv_writer()
-        writer(["identity", "p", "q", "a", "b", "indices", "extended", "verdict",
-                "lhs_s", "lhs_i", "lhs_e", "lhs_h"])
+        print("identity,p,q,a,b,indices,extended,verdict,lhs_s,lhs_i,lhs_e,lhs_h")
         for report in result.reports:
             case = report.case
-            writer([
+            print(",".join([
                 case.name,
                 str(case.params.p), str(case.params.q), str(case.params.a), str(case.params.b),
                 ":".join(str(i) for i in case.indices),
                 str(case.extended).lower(),
                 report.verdict,
                 *_hybrid_csv(report.lhs),
-            ])
+            ]))
     else:
+        write = sys.stdout.write
         for report in result.reports:
-            print(_jline(_case_json(report, args.audit)))
+            write(_jline(_audit_json(report)) + "\n" if args.audit else _case_line(report))
         print(
             _jline(
                 {
@@ -201,13 +266,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         )
     return 0 if result.all_authoritative_pass else VERIFY_ERROR
-
-
-def _csv_writer():
-    def write_row(row: list[str]) -> None:
-        print(",".join(row))
-
-    return write_row
 
 
 def _add_param_opts(parser: argparse.ArgumentParser) -> None:

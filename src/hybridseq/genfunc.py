@@ -12,7 +12,6 @@ recurrence-generated sequence is a genuinely independent check.
 
 from __future__ import annotations
 
-from math import comb
 from typing import NamedTuple
 
 from .hybrid import HybridNumber
@@ -20,10 +19,23 @@ from .sequences import HoradamParams, SeqCache
 
 
 def binomial_series_coeff(p: int, q: int, r: int) -> int:
-    """Coefficient of t^r in 1/(1 − p·t − q·t²); zero for r < 0."""
+    """Coefficient of t^r in 1/(1 − p·t − q·t²); zero for r < 0.
+
+    Steps the binomial sum from its k = 0 term p^r by the exact integer
+    ratio C(r−k−1, k+1)/C(r−k, k) · q/p² = (r−2k)(r−2k−1)·q / ((k+1)(r−k)·p²),
+    so u_r costs ⌊r/2⌋ small-integer products and quotients.  For p = 0
+    only the k = r/2 term is nonzero.
+    """
     if r < 0:
         return 0
-    return sum(comb(r - k, k) * p ** (r - 2 * k) * q**k for k in range(r // 2 + 1))
+    if p == 0:
+        return 0 if r % 2 else q ** (r // 2)
+    term = total = p**r
+    p2 = p * p
+    for k in range(r // 2):
+        term = term * ((r - 2 * k) * (r - 2 * k - 1) * q) // ((k + 1) * (r - k) * p2)
+        total += term
+    return total
 
 
 def numerator_hybrids(params: HoradamParams) -> tuple[HybridNumber, HybridNumber]:
@@ -49,12 +61,13 @@ def expand(params: HoradamParams, terms: int) -> SeriesExpansion:
         raise ValueError("terms must be nonnegative")
     constant, linear = numerator_hybrids(params)
     p, q = params.p, params.q
-    coeffs = tuple(
-        constant.scale(binomial_series_coeff(p, q, r))
-        + linear.scale(binomial_series_coeff(p, q, r - 1))
-        for r in range(terms + 1)
-    )
-    return SeriesExpansion(params, coeffs)
+    coeffs = []
+    prev = 0  # u_{r−1}; each u_r comes from the binomial sum, once
+    for r in range(terms + 1):
+        cur = binomial_series_coeff(p, q, r)
+        coeffs.append(constant.scale(cur) + linear.scale(prev))
+        prev = cur
+    return SeriesExpansion(params, tuple(coeffs))
 
 
 class ExpansionReport(NamedTuple):

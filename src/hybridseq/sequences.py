@@ -12,6 +12,7 @@ A value is a :class:`~fractions.Fraction` only where it is not an integer.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .exactarith import roots
@@ -67,13 +68,11 @@ def resolve_params(params: HoradamParams, kind: str) -> HoradamParams:
     raise ValueError(f"unknown sequence kind {kind!r}; expected one of {SEQ_KINDS}")
 
 
-def _div_q(value: int | Fraction, q: int) -> int | Fraction:
-    """value/q exactly: an int when q divides it, otherwise a Fraction."""
-    if type(value) is int:
-        quot, rem = divmod(value, q)
-        return quot if rem == 0 else Fraction(value, q)
-    value = value / q
-    return value.numerator if value.denominator == 1 else value
+def _div_q(value: int, q: int) -> int | Fraction:
+    """value/q exactly for a nonzero divisor q (a power of q times a seek
+    denominator): an int when q divides it, otherwise a Fraction."""
+    quot, rem = divmod(value, q)
+    return quot if rem == 0 else Fraction(value, q)
 
 
 def _mat_mul(x, y):
@@ -135,36 +134,55 @@ class SeqCache:
     Seeks to the first index asked for, then grows outward one recurrence
     step at a time: the memo holds just the contiguous span requested, a
     window [lo, hi] costs O(log |lo|) products plus its length, and every
-    entry satisfies the recurrence exactly.  Instances are mutable and
-    single-owner; use one per task (or the pure :func:`horadam` path) when
-    evaluating concurrently.
+    entry satisfies the recurrence exactly.  Each frontier keeps its last
+    two values as integer numerators over one denominator: the anchor's,
+    times qᵏ after k backward steps.  A step is integer arithmetic, and an
+    entry becomes a rational once, when it is stored.  Instances are
+    mutable and single-owner; use one per task (or the pure :func:`horadam`
+    path) when evaluating concurrently.
     """
 
     def __init__(self, params: HoradamParams) -> None:
         self.params = params
         self._memo: dict[int, int | Fraction] = {}
 
+    def _anchor(self, n: int) -> None:
+        x0, x1 = _seek(self.params, n)
+        den = lcm(x0.denominator, x1.denominator)
+        num0, num1 = x0.numerator * (den // x0.denominator), x1.numerator * (den // x1.denominator)
+        self._memo[n], self._memo[n + 1] = x0, x1
+        self._lo, self._hi = n, n + 1
+        self._back = self._fwd = (num0, num1, den)  # (X_k, X_{k+1}) · den, den
+
     def value(self, n: int) -> int | Fraction:
         memo = self._memo
         if not memo:
-            memo[n], memo[n + 1] = _seek(self.params, n)
-            self._lo, self._hi = n, n + 1
+            self._anchor(n)
         p, q = self.params.p, self.params.q
-        while self._hi < n:
-            self._hi += 1
-            value = p * memo[self._hi - 1] + q * memo[self._hi - 2]
-            if type(value) is Fraction and value.denominator == 1:
-                value = value.numerator
-            memo[self._hi] = value
-        while self._lo > n:
-            self._lo -= 1
-            memo[self._lo] = _div_q(memo[self._lo + 2] - p * memo[self._lo + 1], q)
+        if self._hi < n:
+            prev, cur, den = self._fwd
+            for k in range(self._hi + 1, n + 1):
+                prev, cur = cur, p * cur + q * prev
+                memo[k] = cur if den == 1 else _div_q(cur, den)
+            self._fwd, self._hi = (prev, cur, den), n
+        elif self._lo > n:
+            cur, nxt, den = self._back
+            for k in range(self._lo - 1, n - 1, -1):
+                cur, nxt, den = nxt - p * cur, q * cur, q * den
+                memo[k] = cur if den == 1 else _div_q(cur, den)
+            self._back, self._lo = (cur, nxt, den), n
         return memo[n]
+
+    def window(self, lo: int, hi: int) -> list[int | Fraction]:
+        """[X_lo, …, X_hi], extending the memo to cover them."""
+        self.value(lo)
+        self.value(hi)
+        memo = self._memo
+        return [memo[k] for k in range(lo, hi + 1)]
 
     def hybrid(self, n: int) -> HybridNumber:
         """Hybrid-valued element (X_n, X_{n+1}, X_{n+2}, X_{n+3})."""
-        value = self.value
-        return HybridNumber(value(n), value(n + 1), value(n + 2), value(n + 3))
+        return HybridNumber(*self.window(n, n + 3))
 
 
 def hybrid_seq(params: HoradamParams, kind: str, n: int) -> HybridNumber:

@@ -9,6 +9,7 @@ cross-check the package against independent computations.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from hybridseq import HybridNumber, grid_param_sets
 from hybridseq.identities import DEFAULT_GRID
@@ -60,6 +61,17 @@ def seq_oracle(p: int, q: int, a: int, b: int, n: int) -> Fraction:
     for _ in range(-n):
         lo, hi = (hi - p * lo) / q, lo
     return lo
+
+
+def binomial_oracle(p: int, q: int, r: int) -> int:
+    """u_r = Σ C(r−k, k)·p^{r−2k}·q^k term by term, with math.comb."""
+    if r < 0:
+        return 0
+    return sum(comb(r - k, k) * p ** (r - 2 * k) * q**k for k in range(r // 2 + 1))
+
+
+# every (p, q) with p ∈ [−4, 4], q ∈ {±1, ±2, ±3} and p²+4q ≠ 0
+SMALL_PQ = [(p, q) for p in range(-4, 5) for q in (-3, -2, -1, 1, 2, 3) if p * p + 4 * q != 0]
 
 
 def hybrid_oracle(p: int, q: int, a: int, b: int, n: int) -> HybridNumber:

@@ -6,11 +6,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from hybridseq import HybridNumber, binet, genfunc, sequences
-from hybridseq.cli import main
+from hybridseq.cli import DIGIT_CAP, _over_cap, main
 
 EXPECTED_TABLE = """\
 ×       1       i       ε       h
@@ -37,6 +38,20 @@ GOLDEN_DIGESTS = {
         "25408d03c6bec68b8bff5689574810cca97c5ee14a5df0345af8d5282dee4a29",
     "expand --p 2 --q 3 --terms 150":
         "55c3c6b57098571b6a40467eedf98bdfe624b6cadf6bfe2db30e4b72599791d2",
+    # recorded before the integer frontier and the render-once writers
+    "verify --format csv":
+        "3f1e9f557fbf18d03f9a1391dcc396150b790b8efb8bbb51301d9f0d37039a19",
+    "seq --p 2 --q 3 --from -40 --to 400 --format csv":
+        "e9434edc16eb40bc563984e7012734135fbb49b8f63000282d85fc2637bbec46",
+    "seq --p 3 --q 2 --from -300 --to 300 --kind scalar":
+        "8cf936129017a02db6b714bc885f4b162acc980e282d60957554df609df75718",
+    "expand --p 3 --q -2 --terms 200 --format csv":
+        "465cd06e6f16d23b431cb9b75c2a04b6b0584e16718789bfc24829576b08b268",
+    # q = -1: the backward frontier's denominator alternates sign
+    "seq --p 1 --q -1 --a 2 --b 5 --from -300 --to 20 --kind scalar":
+        "e5e819573ab26e822a3720440aabd5f8d677eb9f00ea9f87103c7e76ac11cdc5",
+    "binet --p 3 --q -2 --seq lucas --from -90 --to 10":
+        "2c2b472710ed81937e486154922e16e402aa3eba1d5b0a2bf54b7f951a416eb9",
 }
 
 
@@ -211,6 +226,52 @@ class TestArithmeticErrors:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+
+class TestDigitCap:
+    """Windows over the documented output cap are rejected before any output."""
+
+    @pytest.mark.parametrize(
+        "argv,name,index",
+        [
+            (("seq", "--p", "1", "--q", "1", "--from", "20570", "--to", "20600",
+              "--kind", "scalar"), "n", 20578),
+            (("seq", "--p", "1", "--q", "1", "--from", "20560", "--to", "20600",
+              "--format", "csv"), "n", 20575),
+            (("seq", "--p", "1", "--q", "2", "--from", "-14300", "--to", "-14280",
+              "--kind", "scalar"), "n", -14300),
+            (("binet", "--p", "1", "--q", "1", "--from", "21000", "--to", "21001"), "n", 21000),
+            (("expand", "--p", str(10**30), "--q", "1", "--terms", "200"), "r", 142),
+        ],
+    )
+    def test_over_cap_is_one_error_line_and_no_output(self, capsys, argv, name, index):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {name}={index} needs a value of more than {DIGIT_CAP} digits "
+            "(the output cap)\n"
+        )
+
+    def test_largest_value_under_the_cap_prints(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "seq", "--p", "1", "--q", "1", "--from", "20577", "--to", "20577",
+            "--kind", "scalar",
+        )
+        assert code == 0
+        assert len(json.loads(out)["value"]) == DIGIT_CAP
+
+    def test_expand_just_under_the_cap_prints(self, capsys):
+        code, out, _ = run_cli(capsys, "expand", "--p", str(10**30), "--q", "1", "--terms", "141")
+        assert code == 0
+        assert len(out.splitlines()) == 142
+
+    def test_boundary_by_counting(self):
+        top = 10**DIGIT_CAP
+        for fits in (top - 1, -(top - 1), 2 ** (top.bit_length() - 1), Fraction(1, top - 1)):
+            assert not _over_cap(fits), fits
+        for over in (top, -top, 2 ** top.bit_length(), Fraction(1, top), Fraction(top, 3)):
+            assert _over_cap(over), over
 
 
 class TestExpand:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hybridseq import (
+    genfunc,
     HoradamParams,
     HybridNumber,
     binomial_series_coeff,
@@ -17,7 +18,7 @@ from hybridseq import (
 )
 from hybridseq.genfunc import numerator_hybrids
 
-from helpers import GRID_PARAMS, GRID_PQ, hybrid_oracle
+from helpers import GRID_PARAMS, GRID_PQ, SMALL_PQ, binomial_oracle, hybrid_oracle
 
 
 class TestNumerator:
@@ -45,6 +46,12 @@ class TestBinomialPath:
             coeffs = [binomial_series_coeff(p, q, r) for r in range(33)]
             for r in range(2, 33):
                 assert coeffs[r] == p * coeffs[r - 1] + q * coeffs[r - 2], (p, q, r)
+
+
+    @pytest.mark.parametrize("p,q", SMALL_PQ)
+    def test_stepped_sum_matches_comb_reference(self, p, q):
+        for r in range(-1, 201):
+            assert binomial_series_coeff(p, q, r) == binomial_oracle(p, q, r), (p, q, r)
 
 
 class TestExpansion:
@@ -78,6 +85,19 @@ class TestCheck:
     def test_single_term(self):
         report = check_expansion(fib_params(3, -2), 0)
         assert report.ok and report.matches == (True,)
+
+    @pytest.mark.parametrize("terms", [0, 1, 40])
+    def test_each_coefficient_computed_once(self, monkeypatch, terms):
+        calls = []
+        original = genfunc.binomial_series_coeff
+
+        def counted(p, q, r):
+            calls.append(r)
+            return original(p, q, r)
+
+        monkeypatch.setattr(genfunc, "binomial_series_coeff", counted)
+        assert check_expansion(HoradamParams(2, -3, 1, 4), terms).ok
+        assert sorted(calls) == list(range(terms + 1))
 
     def test_full_grid(self):
         for params in GRID_PARAMS:

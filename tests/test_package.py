@@ -154,6 +154,14 @@ class TestImportFootprint:
             assert "dataclasses" not in _loaded_by(COMMANDS[command])
 
 
+    @pytest.mark.parametrize("command", ["table", "seq", "binet", "expand"])
+    def test_output_commands_skip_json(self, command, bare_modules):
+        # their lines come from fixed templates; only char, verify and
+        # binet's stderr divergence line serialize with json
+        if "json" not in bare_modules:
+            assert "json" not in _loaded_by(COMMANDS[command])
+
+
 @pytest.fixture(scope="module")
 def bare_modules() -> set[str]:
     """Modules a bare interpreter has loaded before running any code."""

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hybridseq import (
     HoradamParams,
@@ -20,7 +22,15 @@ from hybridseq import (
     verify_scalar_identities,
 )
 
-from helpers import GRID_PARAMS, GRID_PQ, fib_oracle, hybrid_oracle, lucas_oracle, seq_oracle
+from helpers import (
+    GRID_PARAMS,
+    GRID_PQ,
+    SMALL_PQ,
+    fib_oracle,
+    hybrid_oracle,
+    lucas_oracle,
+    seq_oracle,
+)
 
 
 class TestParams:
@@ -142,6 +152,40 @@ class TestSeqCache:
         for n in range(-50, 51):
             cache.hybrid(n)
         assert sorted(cache._memo) == list(range(-50, 54))
+
+
+@st.composite
+def anchored_requests(draw):
+    """Parameters, a first index in [−200, 200] and later requests that
+    fall on both sides of it, in random order."""
+    p, q = draw(st.sampled_from(SMALL_PQ))
+    a, b = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+    first = draw(st.integers(-200, 200))
+    below = draw(st.lists(st.integers(first - 40, first - 1), min_size=1, max_size=4))
+    above = draw(st.lists(st.integers(first + 1, first + 40), min_size=1, max_size=4))
+    return (p, q, a, b), first, draw(st.permutations(below + above))
+
+
+class TestIntegerFrontier:
+    """Both frontiers step on integer numerators; the memo sees rationals."""
+
+    @given(anchored_requests())
+    def test_requests_around_the_anchor_match_oracle(self, case):
+        (p, q, a, b), first, later = case
+        cache = SeqCache(HoradamParams(p, q, a, b))
+        requested = (first, *later)
+        for n in requested:
+            value = cache.value(n)
+            expected = seq_oracle(p, q, a, b, n)
+            assert value == expected, (p, q, a, b, first, n)
+            assert type(value) is (int if expected.denominator == 1 else Fraction)
+        memo = cache._memo
+        lo, hi = min(requested), max(*requested, first + 1)
+        assert sorted(memo) == list(range(lo, hi + 1))
+        for n in range(lo, hi + 1):  # every entry: an int exactly when integral
+            assert type(memo[n]) is int or memo[n].denominator != 1, (n, memo[n])
+        for n in range(lo, hi - 1):
+            assert p * memo[n + 1] + q * memo[n] == memo[n + 2]
 
 
 class TestHybridSeq:
