@@ -23,12 +23,15 @@ if TYPE_CHECKING:
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
-# seq, binet and expand print no numerator or denominator of more than
-# DIGIT_CAP decimal digits (CPython's default int-to-str limit).  A window
-# over the cap is a usage error, found by counting bits before any output.
+# No command prints a numerator or denominator of more than DIGIT_CAP
+# decimal digits (CPython's default int-to-str limit).  Output over the cap
+# is a usage error, found by counting bits before the first line.
 DIGIT_CAP = 4300
 _CAP_POW = 10**DIGIT_CAP
 _CAP_BITS = _CAP_POW.bit_length()
+# Work budgets, counted before any work; each is about 10 s at the limit.
+CASE_BUDGET = 250_000  # verify: cases on the grid for the chosen suite
+TERM_CAP = 5_000  # expand: last series index
 
 # One fixed template per output line; every field is an int or a rational
 # string of digits, "-" and "/", so no JSON escaping is ever needed.
@@ -51,16 +54,21 @@ _VERIFY_CASE = (
     '{"identity":"%s","params":{"p":%d,"q":%d,"a":%d,"b":%d},"indices":[%s],'
     '"extended":%s,"verdict":"%s"}\n'
 )
+_VERIFY_SUMMARY = (
+    '{"summary":{"suite":"%s","cases":%d,"verdicts":{"pass":%d,'
+    '"printed-fails-variant-passes":%d,"all-fail":%d},"extended_cases":%d,'
+    '"extended_failures":%d,"all_authoritative_pass":%s}}\n'
+)
+_VERIFY_CSV = (
+    "identity,p,q,a,b,indices,extended,verdict,lhs_s,lhs_i,lhs_e,lhs_h\n",
+    "%s,%d,%d,%d,%d,%s,%s,%s,%s,%s,%s,%s\n",
+)
 
 
 def _jline(obj: dict) -> str:
-    import json  # only char, the verify summary, --audit and binet's stderr need it
+    import json  # only char, verify --audit and binet's stderr line need it
 
     return json.dumps(obj, separators=(",", ":"))
-
-
-def _hybrid_csv(z: HybridNumber) -> list[str]:
-    return [format_rational(c) for c in z.parts()]
 
 
 def _over_cap(value: int | Fraction) -> bool:
@@ -75,10 +83,8 @@ def _over_cap(value: int | Fraction) -> bool:
     return abs(num) >= _CAP_POW or den >= _CAP_POW
 
 
-def _cap_error(name: str, index: int) -> ValueError:
-    return ValueError(
-        f"{name}={index} needs a value of more than {DIGIT_CAP} digits (the output cap)"
-    )
+def _cap_error(where: str) -> ValueError:
+    return ValueError(f"{where} needs a value of more than {DIGIT_CAP} digits (the output cap)")
 
 
 def _window(cache: sequences.SeqCache, start: int, stop: int, width: int) -> list:
@@ -90,7 +96,7 @@ def _window(cache: sequences.SeqCache, start: int, stop: int, width: int) -> lis
     values = cache.window(start, stop + width - 1)
     for k, value in enumerate(values):
         if _over_cap(value):
-            raise _cap_error("n", max(start, start + k - width + 1))
+            raise _cap_error(f"n={max(start, start + k - width + 1)}")
     return values
 
 
@@ -181,11 +187,13 @@ def cmd_expand(args: argparse.Namespace) -> int:
     from . import genfunc
 
     params = _params_from_args(args)
+    if args.terms > TERM_CAP:
+        raise ValueError(f"--terms {args.terms} is over the term cap of {TERM_CAP}")
     report = genfunc.check_expansion(params, args.terms)
     coeffs = report.expansion.coeffs
     for r, coeff in enumerate(coeffs):
         if any(map(_over_cap, coeff)):
-            raise _cap_error("r", r)
+            raise _cap_error(f"r={r}")
     header, line = _EXPAND_LINES[args.format]
     write = sys.stdout.write
     write(header)
@@ -194,33 +202,30 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return 0 if report.ok else VERIFY_ERROR
 
 
-def _case_line(report: VerificationReport) -> str:
+def _case_fields(report: VerificationReport, sep: str) -> tuple:
     case = report.case
-    return _VERIFY_CASE % (
-        case.name, *case.params, ",".join(map(str, case.indices)),
-        "true" if case.extended else "false", report.verdict,
-    )
+    return (case.name, *case.params, sep.join(map(str, case.indices)),
+            "true" if case.extended else "false", report.verdict)
 
 
 def _audit_json(report: VerificationReport) -> dict:
     case = report.case
-    return {
-        "identity": case.name,
-        "params": {"p": case.params.p, "q": case.params.q, "a": case.params.a, "b": case.params.b},
-        "indices": list(case.indices),
-        "extended": case.extended,
-        "verdict": report.verdict,
-        "lhs": report.lhs.to_json_dict(),
-        "variants": [
-            {
-                "label": v.label,
-                "authoritative": v.authoritative,
-                "pass": v.passed,
-                "value": v.value.to_json_dict(),
-            }
-            for v in report.variants
-        ],
-    }
+    variants = [{"label": v.label, "authoritative": v.authoritative, "pass": v.passed,
+                 "value": v.value.to_json_dict()} for v in report.variants]
+    return {"identity": case.name, "params": case.params._asdict(),
+            "indices": list(case.indices), "extended": case.extended, "verdict": report.verdict,
+            "lhs": report.lhs.to_json_dict(), "variants": variants}
+
+
+def _check_verify_cap(reports: list[VerificationReport], audit: bool) -> None:
+    """Every value that csv (left sides) or --audit (and variants) prints."""
+    for report in reports:
+        values = report.lhs
+        if audit:
+            values = [*values, *(c for v in report.variants for c in v.value)]
+        if any(map(_over_cap, values)):
+            case = report.case
+            raise _cap_error(f"{case.name} at indices {','.join(map(str, case.indices))}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -228,44 +233,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if args.audit and args.format == "csv":
         raise ValueError("--audit needs --format json (csv has no per-variant columns)")
-    config = identities.parse_grid_file(args.grid) if args.grid else None
+    config = identities.parse_grid_file(args.grid) if args.grid else identities.DEFAULT_GRID
+    cases = identities.case_count(config, args.suite)
+    if cases > CASE_BUDGET:
+        raise identities.GridConfigError(
+            f"suite {args.suite!r} has {cases} cases on this grid, "
+            f"over the case budget of {CASE_BUDGET}"
+        )
     result = identities.run_suite(config, args.suite)
-    if result.cases == result.extended_cases:
+    counts, extended, extended_failures, gate = result.tally()
+    if result.cases == extended:
         raise identities.GridConfigError(
             f"nothing to verify: suite {args.suite!r} has no gated case on this grid "
             f"({result.cases} cases, all extended-domain probes)"
         )
+    if args.format == "csv" or args.audit:
+        _check_verify_cap(result.reports, args.audit)
+    write = sys.stdout.write
     if args.format == "csv":
-        print("identity,p,q,a,b,indices,extended,verdict,lhs_s,lhs_i,lhs_e,lhs_h")
+        header, line = _VERIFY_CSV
+        write(header)
         for report in result.reports:
-            case = report.case
-            print(",".join([
-                case.name,
-                str(case.params.p), str(case.params.q), str(case.params.a), str(case.params.b),
-                ":".join(str(i) for i in case.indices),
-                str(case.extended).lower(),
-                report.verdict,
-                *_hybrid_csv(report.lhs),
-            ]))
+            write(line % (*_case_fields(report, ":"), *map(format_rational, report.lhs)))
     else:
-        write = sys.stdout.write
         for report in result.reports:
-            write(_jline(_audit_json(report)) + "\n" if args.audit else _case_line(report))
-        print(
-            _jline(
-                {
-                    "summary": {
-                        "suite": result.suite,
-                        "cases": result.cases,
-                        "verdicts": result.verdict_counts,
-                        "extended_cases": result.extended_cases,
-                        "extended_failures": result.extended_failures,
-                        "all_authoritative_pass": result.all_authoritative_pass,
-                    }
-                }
-            )
-        )
-    return 0 if result.all_authoritative_pass else VERIFY_ERROR
+            write(_jline(_audit_json(report)) + "\n" if args.audit
+                  else _VERIFY_CASE % _case_fields(report, ","))
+        write(_VERIFY_SUMMARY % (result.suite, result.cases, *counts.values(), extended,
+                                 extended_failures, "true" if gate else "false"))
+    return 0 if gate else VERIFY_ERROR
 
 
 def _add_param_opts(parser: argparse.ArgumentParser) -> None:

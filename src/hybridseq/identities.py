@@ -4,8 +4,16 @@ Every identity is evaluated through two independent code paths: the left
 side multiplies recurrence-generated hybrid values directly, while the
 right side is assembled only from scalar sequence values and the constant
 hybrids of the :class:`~hybridseq.binet.BinetContext`.  The two sides
-share no intermediate computation beyond hybrid addition and scaling, so
-a bug in one path cannot silently validate the other.
+share no intermediate computation beyond hybrid addition and scaling and
+the pair helpers below, so a bug in one path cannot silently validate
+the other.
+
+Both sides are evaluated on integers: a value is a pair (N, den) of a
+hybrid N with ``int`` components and a positive ``int`` den, standing for
+N/den.  The left side multiplies and subtracts numerators; the right side
+folds its scalar factors into one ratio and applies it to the numerators
+of the constant hybrids.  The two pairs meet only in one cross-multiplied
+comparison, and the reported values are reduced from the pairs afterwards.
 
 Three identities are commonly stated with a sign or coefficient slip; for
 those the verifier evaluates the statement as usually typeset (variant
@@ -17,12 +25,16 @@ exactly, while ``printed`` outcomes are reported for auditing.
 
 from __future__ import annotations
 
+import gc
+from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from math import lcm
 from typing import NamedTuple
 
 from . import SUITES
 from .binet import BinetContext, make_context
+from .exactarith import _rational
 from .hybrid import HybridNumber
 from .sequences import HoradamParams, SeqCache, fib_params, lucas_params
 
@@ -63,36 +75,81 @@ class VerificationReport(NamedTuple):
 
     @property
     def authoritative_passed(self) -> bool:
-        return next(v.passed for v in self.variants if v.authoritative)
+        for variant in self.variants:
+            if variant.authoritative:
+                return variant.passed
+        return False
 
 
-def _verdict(variants: tuple[VariantResult, ...]) -> str:
-    printed = next(v for v in variants if v.label == "printed")
-    if printed.passed:
-        return VERDICT_PASS
-    if any(v.passed for v in variants):
-        return VERDICT_AUDIT
-    return VERDICT_FAIL
+# --- values as (integer numerators, positive denominator) pairs ---
+
+_hybrid = partial(tuple.__new__, HybridNumber)  # from four components, unchecked
 
 
-def _report(
-    name: str,
-    params: HoradamParams,
-    indices: tuple[int, ...],
-    lhs: HybridNumber,
-    labeled_rhs: tuple[tuple[str, HybridNumber, bool], ...],
-    extended: bool = False,
-) -> VerificationReport:
-    variants = tuple(
-        VariantResult(label, value, value == lhs, authoritative)
-        for label, value, authoritative in labeled_rhs
-    )
-    return VerificationReport(
-        case=IdentityCase(name, params, indices, extended),
-        lhs=lhs,
-        variants=variants,
-        verdict=_verdict(variants),
-    )
+def _scaled(values) -> tuple[HybridNumber, int]:
+    """Four int/Fraction components as (N, den), N/den equal to them."""
+    den = lcm(*(v.denominator for v in values))
+    return _hybrid(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _value(pair) -> HybridNumber:
+    """The reduced hybrid of a pair: ``int`` components where integral."""
+    num, den = pair
+    return num if den == 1 else _hybrid(_rational(c, den) for c in num)
+
+
+def _same(lhs, rhs) -> bool:
+    """Whether two pairs stand for the same hybrid, by cross-multiplying."""
+    (x, dx), (y, dy) = lhs, rhs
+    if dx == dy:
+        return x == y
+    return all(a * dy == b * dx for a, b in zip(x, y))
+
+
+def _rhs(*terms) -> tuple[HybridNumber, int]:
+    """Σ C·f₁·f₂⋯ over terms (C, f₁, f₂, …), C a constant's pair and the f
+    int/Fraction scalars, as one pair.  Each term's scalars fold into one
+    unreduced ratio, applied once to the integer numerators of C."""
+    scaled, den = [], 1
+    for (num, k_den), *factors in terms:
+        k = 1
+        for factor in factors:
+            k *= factor.numerator
+            k_den *= factor.denominator
+        scaled.append((num, k, k_den))
+        den *= k_den
+    s = i = e = h = 0
+    for (cs, ci, ce, ch), k, k_den in scaled:
+        if den != 1:
+            k *= den // k_den
+        s, i, e, h = s + k * cs, i + k * ci, e + k * ce, h + k * ch
+    return _hybrid((s, i, e, h)), den
+
+
+def _lhs(first, second) -> tuple[HybridNumber, int]:
+    """first − second for two _prod pairs."""
+    (x, dx), (y, dy) = first, second
+    if dx != dy:
+        x, y, dx = x.scale(dy), y.scale(dx), dx * dy
+    return _hybrid((x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])), dx
+
+
+def _report(name, params, indices, lhs, printed, corrected=None, label="", extended=False):
+    """The report of one case; corrected, when given, is the authoritative
+    variant and printed is only audited."""
+    ok = _same(lhs, printed)
+    if corrected is None:
+        variants = (VariantResult("printed", _value(printed), ok, True),)
+        verdict = VERDICT_PASS if ok else VERDICT_FAIL
+    else:
+        fixed = _same(lhs, corrected)
+        variants = (
+            VariantResult("printed", _value(printed), ok, False),
+            VariantResult(label, _value(corrected), fixed, True),
+        )
+        verdict = VERDICT_PASS if ok else VERDICT_AUDIT if fixed else VERDICT_FAIL
+    return VerificationReport(IdentityCase(name, params, indices, extended), _value(lhs),
+                              variants, verdict)
 
 
 # --- memoized evaluation helpers (pure functions of hashable arguments) ---
@@ -113,13 +170,15 @@ def _scalar(params: HoradamParams, n: int) -> int | Fraction:
 
 
 @lru_cache(maxsize=None)
-def _hyb(params: HoradamParams, n: int) -> HybridNumber:
-    return _seq_cache(params).hybrid(n)
+def _hyb(params: HoradamParams, n: int) -> tuple[HybridNumber, int]:
+    """HJ_n as a pair: the window X_n … X_{n+3} over its common denominator."""
+    return _scaled(_seq_cache(params).window(n, n + 3))
 
 
 @lru_cache(maxsize=None)
-def _prod(pa: HoradamParams, na: int, pb: HoradamParams, nb: int) -> HybridNumber:
-    return _hyb(pa, na) * _hyb(pb, nb)
+def _prod(pa: HoradamParams, na: int, pb: HoradamParams, nb: int) -> tuple[HybridNumber, int]:
+    (x, dx), (y, dy) = _hyb(pa, na), _hyb(pb, nb)
+    return x * y, dx * dy
 
 
 @lru_cache(maxsize=None)
@@ -135,28 +194,42 @@ def _rhs_consts(p: int, q: int) -> tuple[HybridNumber, HybridNumber, HybridNumbe
 
 
 def _neg_q_pow(q: int, n: int) -> int | Fraction:
-    return (-q) ** n if n >= 0 else Fraction(-q) ** n
+    return (-q) ** n if n >= 0 else Fraction(1, (-q) ** -n)
+
+
+# What the cases of one (p, q) share: the Fibonacci and Lucas seeds, and
+# the four _rhs_consts hybrids as pairs.
+_PQ = namedtuple("_PQ", "fibs lucs lucas_shifted fib_shifted lucas_sq fib_sq")
+
+
+def _pq(p: int, q: int) -> _PQ:
+    return _PQ(fib_params(p, q), lucas_params(p, q), *map(_scaled, _rhs_consts(p, q)))
 
 
 # --- the identities ---
+#
+# Each takes the (p, q) values as ``pq``; run_suite builds them once per
+# pair, a direct call builds them itself.
 
 
-def catalan(ctx: BinetContext, m: int, r: int, *, extended: bool = False) -> VerificationReport:
+def catalan(ctx: BinetContext, m: int, r: int, *, extended: bool = False,
+            pq: _PQ | None = None) -> VerificationReport:
     """HJ_m² − HJ_{m+r}·HJ_{m−r} against its closed form; domain m ≥ r ≥ 0."""
     if not extended and not m >= r >= 0:
         raise ValueError("catalan requires m >= r >= 0")
     params = ctx.params
-    p, q = params.p, params.q
-    lhs = _prod(params, m, params, m) - _prod(params, m + r, params, m - r)
-    lucas_shifted, fib_shifted, _, _ = _rhs_consts(p, q)
-    brace = lucas_shifted.scale(_scalar(fib_params(p, q), r)) + fib_shifted.scale(
-        q * _scalar(lucas_params(p, q), r)
-    )
-    rhs = brace.scale(-ctx.weight_product * _neg_q_pow(q, m) * _scalar(fib_params(p, q), -r))
-    return _report("catalan", params, (m, r), lhs, (("printed", rhs, True),), extended)
+    q = params.q
+    pq = pq or _pq(params.p, q)
+    lhs = _lhs(_prod(params, m, params, m), _prod(params, m + r, params, m - r))
+    fibs = pq.fibs
+    outer = (-ctx.weight_product, _neg_q_pow(q, m), _scalar(fibs, -r))
+    rhs = _rhs((pq.lucas_shifted, _scalar(fibs, r), *outer),
+               (pq.fib_shifted, q, _scalar(pq.lucs, r), *outer))
+    return _report("catalan", params, (m, r), lhs, rhs, extended=extended)
 
 
-def cassini(ctx: BinetContext, m: int, *, extended: bool = False) -> VerificationReport:
+def cassini(ctx: BinetContext, m: int, *, extended: bool = False,
+            pq: _PQ | None = None) -> VerificationReport:
     """HJ_m² − HJ_{m+1}·HJ_{m−1} against its closed form; domain m ≥ 1.
 
     The right side must coincide with the catalan right side at r = 1
@@ -167,53 +240,54 @@ def cassini(ctx: BinetContext, m: int, *, extended: bool = False) -> Verificatio
         raise ValueError("cassini requires m >= 1")
     params = ctx.params
     p, q = params.p, params.q
-    lhs = _prod(params, m, params, m) - _prod(params, m + 1, params, m - 1)
-    lucas_shifted, fib_shifted, _, _ = _rhs_consts(p, q)
-    rhs = (lucas_shifted + fib_shifted.scale(p * q)).scale(
-        ctx.weight_product * _neg_q_pow(q, m - 1)
-    )
-    reduced = catalan(ctx, m, 1, extended=True).rhs_printed
-    if reduced != rhs:
+    pq = pq or _pq(p, q)
+    lhs = _lhs(_prod(params, m, params, m), _prod(params, m + 1, params, m - 1))
+    outer = (ctx.weight_product, _neg_q_pow(q, m - 1))
+    rhs = _rhs((pq.lucas_shifted, *outer), (pq.fib_shifted, p * q, *outer))
+    report = _report("cassini", params, (m,), lhs, rhs, extended=extended)
+    if catalan(ctx, m, 1, extended=True, pq=pq).rhs_printed != report.rhs_printed:
         raise ArithmeticError(f"cassini RHS disagrees with catalan RHS at r=1 for m={m}")
-    return _report("cassini", params, (m,), lhs, (("printed", rhs, True),), extended)
+    return report
 
 
-def docagne(ctx: BinetContext, r: int, m: int, *, extended: bool = False) -> VerificationReport:
+def docagne(ctx: BinetContext, r: int, m: int, *, extended: bool = False,
+            pq: _PQ | None = None) -> VerificationReport:
     """HJ_r·HJ_{m+1} − HJ_{r+1}·HJ_m against its closed form; any integers."""
     params = ctx.params
-    p, q = params.p, params.q
-    lhs = _prod(params, r, params, m + 1) - _prod(params, r + 1, params, m)
-    lucas_shifted, fib_shifted, _, _ = _rhs_consts(p, q)
-    brace = lucas_shifted.scale(_scalar(fib_params(p, q), r - m)) + fib_shifted.scale(
-        q * _scalar(lucas_params(p, q), r - m)
-    )
-    rhs = brace.scale(_neg_q_pow(q, m) * ctx.weight_product)
-    return _report("docagne", params, (r, m), lhs, (("printed", rhs, True),), extended)
+    q = params.q
+    pq = pq or _pq(params.p, q)
+    lhs = _lhs(_prod(params, r, params, m + 1), _prod(params, r + 1, params, m))
+    outer = (_neg_q_pow(q, m), ctx.weight_product)
+    rhs = _rhs((pq.lucas_shifted, _scalar(pq.fibs, r - m), *outer),
+               (pq.fib_shifted, q, _scalar(pq.lucs, r - m), *outer))
+    return _report("docagne", params, (r, m), lhs, rhs, extended=extended)
 
 
-def adjacent_commutator(ctx: BinetContext, r: int) -> VerificationReport:
+def adjacent_commutator(ctx: BinetContext, r: int, *, pq: _PQ | None = None) -> VerificationReport:
     """HJ_{r+1}·HJ_r − HJ_r·HJ_{r+1} = 2(−q)^{r+1}·A·B·(HF₀ − omega)."""
     if r < 0:
         raise ValueError("adjacent commutator requires r >= 0")
     params = ctx.params
     q = params.q
-    lhs = _prod(params, r + 1, params, r) - _prod(params, r, params, r + 1)
-    _, fib_shifted, _, _ = _rhs_consts(params.p, q)
-    rhs = fib_shifted.scale(2 * _neg_q_pow(q, r + 1) * ctx.weight_product)
-    return _report("adjacent-commutator", params, (r,), lhs, (("printed", rhs, True),))
+    pq = pq or _pq(params.p, q)
+    lhs = _lhs(_prod(params, r + 1, params, r), _prod(params, r, params, r + 1))
+    rhs = _rhs((pq.fib_shifted, 2, _neg_q_pow(q, r + 1), ctx.weight_product))
+    return _report("adjacent-commutator", params, (r,), lhs, rhs)
 
 
-def lucas_fib_exchange(params: HoradamParams, n: int, r: int, s: int) -> VerificationReport:
+def lucas_fib_exchange(params: HoradamParams, n: int, r: int, s: int, *,
+                       pq: _PQ | None = None) -> VerificationReport:
     """HL_{n+r}·HF_{n+s} − HL_{n+s}·HF_{n+r} = 2(−q)^{n+r}·F_{s−r}·(HL₀ − cross_shift)."""
-    p, q = params.p, params.q
-    fibs, lucs = fib_params(p, q), lucas_params(p, q)
-    lhs = _prod(lucs, n + r, fibs, n + s) - _prod(lucs, n + s, fibs, n + r)
-    lucas_shifted, _, _, _ = _rhs_consts(p, q)
-    rhs = lucas_shifted.scale(2 * _neg_q_pow(q, n + r) * _scalar(fibs, s - r))
-    return _report("lucas-fib-exchange", fibs, (n, r, s), lhs, (("printed", rhs, True),))
+    q = params.q
+    pq = pq or _pq(params.p, q)
+    fibs, lucs = pq.fibs, pq.lucs
+    lhs = _lhs(_prod(lucs, n + r, fibs, n + s), _prod(lucs, n + s, fibs, n + r))
+    rhs = _rhs((pq.lucas_shifted, 2, _neg_q_pow(q, n + r), _scalar(fibs, s - r)))
+    return _report("lucas-fib-exchange", fibs, (n, r, s), lhs, rhs)
 
 
-def square_difference(params: HoradamParams, n: int) -> VerificationReport:
+def square_difference(params: HoradamParams, n: int, *,
+                      pq: _PQ | None = None) -> VerificationReport:
     """HL_n² − HF_n², with the as-typeset and derivation-implied right sides.
 
     The typeset statement carries the F_{2n} term without the (p²+4q−1)
@@ -221,27 +295,21 @@ def square_difference(params: HoradamParams, n: int) -> VerificationReport:
     """
     if n < 0:
         raise ValueError("square difference requires n >= 0")
-    p, q = params.p, params.q
+    q = params.q
     disc = params.discriminant
-    fibs, lucs = fib_params(p, q), lucas_params(p, q)
-    lhs = _prod(lucs, n, lucs, n) - _prod(fibs, n, fibs, n)
-    lucas_shifted, _, lucas_sq, fib_sq = _rhs_consts(p, q)
-    l2n = _scalar(lucs, 2 * n)
+    pq = pq or _pq(params.p, q)
+    fibs, lucs = pq.fibs, pq.lucs
+    lhs = _lhs(_prod(lucs, n, lucs, n), _prod(fibs, n, fibs, n))
     f2n = _scalar(fibs, 2 * n)
-    lucas_term = lucas_sq.scale(Fraction(disc - 1, disc) * l2n)
-    cross_term = lucas_shifted.scale(2 * Fraction(disc + 1, disc) * _neg_q_pow(q, n))
-    printed = lucas_term + fib_sq.scale(f2n) + cross_term
-    proof_form = lucas_term + fib_sq.scale((disc - 1) * f2n) + cross_term
-    return _report(
-        "square-difference",
-        fibs,
-        (n,),
-        lhs,
-        (("printed", printed, False), ("proof-form", proof_form, True)),
-    )
+    lucas_term = (pq.lucas_sq, Fraction(disc - 1, disc), _scalar(lucs, 2 * n))
+    cross_term = (pq.lucas_shifted, 2, Fraction(disc + 1, disc), _neg_q_pow(q, n))
+    printed = _rhs(lucas_term, (pq.fib_sq, f2n), cross_term)
+    proof_form = _rhs(lucas_term, (pq.fib_sq, disc - 1, f2n), cross_term)
+    return _report("square-difference", fibs, (n,), lhs, printed, proof_form, "proof-form")
 
 
-def horadam_commutator(ctx: BinetContext, n: int, m: int) -> VerificationReport:
+def horadam_commutator(ctx: BinetContext, n: int, m: int, *,
+                       pq: _PQ | None = None) -> VerificationReport:
     """HF_n·HJ_m − HJ_m·HF_n, printed and sign-flipped right sides.
 
     The typeset statement reads 2(−q)^{n+1}·J_{m−n}·(HF₀ − omega); the
@@ -250,41 +318,27 @@ def horadam_commutator(ctx: BinetContext, n: int, m: int) -> VerificationReport:
     if not m >= n >= 0:
         raise ValueError("horadam commutator requires m >= n >= 0")
     params = ctx.params
-    p, q = params.p, params.q
-    fibs = fib_params(p, q)
-    lhs = _prod(fibs, n, params, m) - _prod(params, m, fibs, n)
-    _, fib_shifted, _, _ = _rhs_consts(p, q)
-    scale = 2 * _neg_q_pow(q, n + 1) * _scalar(params, m - n)
-    printed = fib_shifted.scale(scale)
-    proof_form = fib_shifted.scale(-scale)
-    return _report(
-        "horadam-commutator",
-        params,
-        (n, m),
-        lhs,
-        (("printed", printed, False), ("proof-form", proof_form, True)),
-    )
+    q = params.q
+    pq = pq or _pq(params.p, q)
+    fibs = pq.fibs
+    lhs = _lhs(_prod(fibs, n, params, m), _prod(params, m, fibs, n))
+    printed = _rhs((pq.fib_shifted, 2, _neg_q_pow(q, n + 1), _scalar(params, m - n)))
+    corrected = (-printed[0], printed[1])
+    return _report("horadam-commutator", params, (n, m), lhs, printed, corrected, "proof-form")
 
 
-def diag_commutator(ctx: BinetContext, n: int) -> VerificationReport:
+def diag_commutator(ctx: BinetContext, n: int, *, pq: _PQ | None = None) -> VerificationReport:
     """HF_n·HJ_n − HJ_n·HF_n, printed and sign-corrected right sides."""
     if n < 0:
         raise ValueError("diag commutator requires n >= 0")
     params = ctx.params
-    p, q = params.p, params.q
-    fibs = fib_params(p, q)
-    lhs = _prod(fibs, n, params, n) - _prod(params, n, fibs, n)
-    _, fib_shifted, _, _ = _rhs_consts(p, q)
-    scale = 2 * params.a * _neg_q_pow(q, n + 1)
-    printed = fib_shifted.scale(scale)
-    corrected = fib_shifted.scale(-scale)
-    return _report(
-        "diag-commutator",
-        params,
-        (n,),
-        lhs,
-        (("printed", printed, False), ("sign-corrected", corrected, True)),
-    )
+    q = params.q
+    pq = pq or _pq(params.p, q)
+    fibs = pq.fibs
+    lhs = _lhs(_prod(fibs, n, params, n), _prod(params, n, fibs, n))
+    printed = _rhs((pq.fib_shifted, 2, params.a, _neg_q_pow(q, n + 1)))
+    corrected = (-printed[0], printed[1])
+    return _report("diag-commutator", params, (n,), lhs, printed, corrected, "sign-corrected")
 
 
 # --- grid configuration and the suite runner ---
@@ -415,6 +469,30 @@ def _distinct_pq(param_sets: list[HoradamParams]) -> list[tuple[int, int]]:
     return seen
 
 
+def _suite_names(suite: str) -> tuple[str, ...]:
+    if suite != "all" and suite not in SUITES:
+        raise GridConfigError(f"unknown suite {suite!r}; expected 'all' or one of {SUITES}")
+    return SUITES if suite == "all" else (suite,)
+
+
+def case_count(config: GridConfig, suite: str = "all") -> int:
+    """The number of cases :func:`run_suite` evaluates, from the grid alone."""
+    param_sets = grid_param_sets(config)
+    n, r, ext = config.nmax, config.rmax, len(EXTENDED_RANGE)
+    per_params = {
+        "catalan": sum(min(m, r) + 1 for m in range(n + 1)) + ext * (min(r, 3) + 1),
+        "cassini": n + ext,
+        "docagne": (r + 1) * (n + 1 + ext),
+        "adjacent-commutator": r + 1,
+        "horadam-commutator": (n + 1) * (n + 2) // 2,
+        "diag-commutator": n + 1,
+    }
+    per_pq = {"lucas-fib-exchange": (n + 1) * (r + 1) ** 2, "square-difference": n + 1}
+    n_params, n_pq = len(param_sets), len(_distinct_pq(param_sets))
+    return sum(per_params.get(name, 0) * n_params + per_pq.get(name, 0) * n_pq
+               for name in _suite_names(suite))
+
+
 class SuiteResult:
     """The reports of one :func:`run_suite` call, in run order."""
 
@@ -426,12 +504,27 @@ class SuiteResult:
     def cases(self) -> int:
         return len(self.reports)
 
-    @property
-    def verdict_counts(self) -> dict[str, int]:
+    def tally(self) -> tuple[dict[str, int], int, int, bool]:
+        """(verdict counts, extended cases, extended failures, gate), in one pass.
+
+        The gate holds when every non-extended case matched its
+        authoritative variant.
+        """
         counts = {VERDICT_PASS: 0, VERDICT_AUDIT: 0, VERDICT_FAIL: 0}
+        extended = extended_failures = 0
+        gate = True
         for report in self.reports:
             counts[report.verdict] += 1
-        return counts
+            if report.case.extended:
+                extended += 1
+                extended_failures += not report.authoritative_passed
+            elif gate and not report.authoritative_passed:
+                gate = False
+        return counts, extended, extended_failures, gate
+
+    @property
+    def verdict_counts(self) -> dict[str, int]:
+        return self.tally()[0]
 
     @property
     def printed_failures(self) -> list[VerificationReport]:
@@ -439,16 +532,16 @@ class SuiteResult:
 
     @property
     def extended_cases(self) -> int:
-        return sum(1 for r in self.reports if r.case.extended)
+        return self.tally()[1]
 
     @property
     def extended_failures(self) -> int:
-        return sum(1 for r in self.reports if r.case.extended and not r.authoritative_passed)
+        return self.tally()[2]
 
     @property
     def all_authoritative_pass(self) -> bool:
         """Gate: every non-extended case matched its authoritative variant."""
-        return all(r.authoritative_passed for r in self.reports if not r.case.extended)
+        return self.tally()[3]
 
 
 def run_suite(config: GridConfig | None = None, suite: str = "all") -> SuiteResult:
@@ -456,69 +549,65 @@ def run_suite(config: GridConfig | None = None, suite: str = "all") -> SuiteResu
 
     Extended-domain probes (negative leading index, flagged on the case)
     are included for catalan/cassini/docagne but excluded from the
-    :attr:`SuiteResult.all_authoritative_pass` gate.
+    :attr:`SuiteResult.all_authoritative_pass` gate.  The loop builds only
+    acyclic records, so the cyclic garbage collector is paused while it
+    runs and the caller's setting is restored afterwards.
     """
     if config is None:
         config = DEFAULT_GRID
-    if suite != "all" and suite not in SUITES:
-        raise GridConfigError(f"unknown suite {suite!r}; expected 'all' or one of {SUITES}")
-    names = SUITES if suite == "all" else (suite,)
+    names = _suite_names(suite)
     param_sets = grid_param_sets(config)
-    pq_pairs = _distinct_pq(param_sets)
+    shared = {pair: _pq(*pair) for pair in _distinct_pq(param_sets)}
     nmax, rmax = config.nmax, config.rmax
     result = SuiteResult(suite=suite)
     add = result.reports.append
-    for name in names:
-        if name == "catalan":
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for name in names:
+            if name == "lucas-fib-exchange":
+                for pq in shared.values():
+                    for n in range(nmax + 1):
+                        for r in range(rmax + 1):
+                            for s in range(rmax + 1):
+                                add(lucas_fib_exchange(pq.fibs, n, r, s, pq=pq))
+                continue
+            if name == "square-difference":
+                for pq in shared.values():
+                    for n in range(nmax + 1):
+                        add(square_difference(pq.fibs, n, pq=pq))
+                continue
             for params in param_sets:
-                ctx = _ctx(params)
-                for m in range(nmax + 1):
-                    for r in range(min(m, rmax) + 1):
-                        add(catalan(ctx, m, r))
-                for m in EXTENDED_RANGE:
-                    for r in range(min(rmax, 3) + 1):
-                        add(catalan(ctx, m, r, extended=True))
-        elif name == "cassini":
-            for params in param_sets:
-                ctx = _ctx(params)
-                for m in range(1, nmax + 1):
-                    add(cassini(ctx, m))
-                for m in EXTENDED_RANGE:
-                    add(cassini(ctx, m, extended=True))
-        elif name == "docagne":
-            for params in param_sets:
-                ctx = _ctx(params)
-                for r in range(rmax + 1):
+                ctx, pq = _ctx(params), shared[params.p, params.q]
+                if name == "catalan":
                     for m in range(nmax + 1):
-                        add(docagne(ctx, r, m))
+                        for r in range(min(m, rmax) + 1):
+                            add(catalan(ctx, m, r, pq=pq))
                     for m in EXTENDED_RANGE:
-                        add(docagne(ctx, r, m, extended=True))
-        elif name == "adjacent-commutator":
-            for params in param_sets:
-                ctx = _ctx(params)
-                for r in range(rmax + 1):
-                    add(adjacent_commutator(ctx, r))
-        elif name == "lucas-fib-exchange":
-            for p, q in pq_pairs:
-                params = fib_params(p, q)
-                for n in range(nmax + 1):
+                        for r in range(min(rmax, 3) + 1):
+                            add(catalan(ctx, m, r, extended=True, pq=pq))
+                elif name == "cassini":
+                    for m in range(1, nmax + 1):
+                        add(cassini(ctx, m, pq=pq))
+                    for m in EXTENDED_RANGE:
+                        add(cassini(ctx, m, extended=True, pq=pq))
+                elif name == "docagne":
                     for r in range(rmax + 1):
-                        for s in range(rmax + 1):
-                            add(lucas_fib_exchange(params, n, r, s))
-        elif name == "square-difference":
-            for p, q in pq_pairs:
-                params = fib_params(p, q)
-                for n in range(nmax + 1):
-                    add(square_difference(params, n))
-        elif name == "horadam-commutator":
-            for params in param_sets:
-                ctx = _ctx(params)
-                for n in range(nmax + 1):
-                    for m in range(n, nmax + 1):
-                        add(horadam_commutator(ctx, n, m))
-        elif name == "diag-commutator":
-            for params in param_sets:
-                ctx = _ctx(params)
-                for n in range(nmax + 1):
-                    add(diag_commutator(ctx, n))
+                        for m in range(nmax + 1):
+                            add(docagne(ctx, r, m, pq=pq))
+                        for m in EXTENDED_RANGE:
+                            add(docagne(ctx, r, m, extended=True, pq=pq))
+                elif name == "adjacent-commutator":
+                    for r in range(rmax + 1):
+                        add(adjacent_commutator(ctx, r, pq=pq))
+                elif name == "horadam-commutator":
+                    for n in range(nmax + 1):
+                        for m in range(n, nmax + 1):
+                            add(horadam_commutator(ctx, n, m, pq=pq))
+                elif name == "diag-commutator":
+                    for n in range(nmax + 1):
+                        add(diag_commutator(ctx, n, pq=pq))
+    finally:
+        if collecting:
+            gc.enable()
     return result

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from hybridseq import HybridNumber, binet, genfunc, sequences
-from hybridseq.cli import DIGIT_CAP, _over_cap, main
+from hybridseq import HybridNumber, binet, cli, genfunc, identities, sequences
+from hybridseq.cli import CASE_BUDGET, DIGIT_CAP, TERM_CAP, _over_cap, main
 
 EXPECTED_TABLE = """\
 ×       1       i       ε       h
@@ -52,6 +52,10 @@ GOLDEN_DIGESTS = {
         "e5e819573ab26e822a3720440aabd5f8d677eb9f00ea9f87103c7e76ac11cdc5",
     "binet --p 3 --q -2 --seq lucas --from -90 --to 10":
         "2c2b472710ed81937e486154922e16e402aa3eba1d5b0a2bf54b7f951a416eb9",
+    # recorded before the integer-numerator sides: every suite and variant,
+    # with Fraction values at the extended (negative) indices
+    "verify --audit":
+        "0ef1fc18ee74d34352d4e8f4b3469f137e5d58a81e9d1519546aa9d13f4b0d05",
 }
 
 
@@ -272,6 +276,98 @@ class TestDigitCap:
             assert not _over_cap(fits), fits
         for over in (top, -top, 2 ** top.bit_length(), Fraction(1, top), Fraction(top, 3)):
             assert _over_cap(over), over
+
+
+class TestVerifyDigitCap:
+    """verify --format csv prints left sides and --audit every value: both
+    are checked against the cap before the first line."""
+
+    # square-difference's left side passes 4,300 digits at n = 356 for p = 10⁶
+    GRID = "p=1000000\nq=1\nab=0:1\nnmax=360\nrmax=1\n"
+
+    @pytest.mark.parametrize("extra", [("--format", "csv"), ("--audit",)])
+    def test_over_cap_is_one_error_line_and_no_output(self, capsys, tmp_path, extra):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(self.GRID)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "square-difference", "--grid", str(grid), *extra
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: square-difference at indices 356 needs a value of more than {DIGIT_CAP} "
+            "digits (the output cap)\n"
+        )
+
+    def test_audit_checks_every_variant(self):
+        report = identities.cassini(binet.make_context(sequences.fib_params(1, 1)), 2)
+        huge = HybridNumber(0, 0, 0, 10**DIGIT_CAP)
+        variant = report.variants[0]._replace(value=huge)
+        report = report._replace(variants=(variant,))
+        cli._check_verify_cap([report], audit=False)
+        with pytest.raises(ValueError, match="cassini at indices 2 needs"):
+            cli._check_verify_cap([report], audit=True)
+
+    def test_plain_json_prints_no_values(self, capsys, tmp_path):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(self.GRID)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "square-difference", "--grid", str(grid))
+        assert code == 0
+        assert json.loads(out.splitlines()[-1])["summary"]["cases"] == 361
+
+
+class TestBudgets:
+    """Work is bounded by counting before it starts, never by timing."""
+
+    def test_defaults_sit_well_inside(self):
+        assert identities.case_count(identities.DEFAULT_GRID) * 10 <= CASE_BUDGET
+        assert 3000 * 1.5 <= TERM_CAP
+
+    @pytest.mark.parametrize("slack,code", [(0, 0), (-1, 2)])
+    def test_case_budget_boundary(self, capsys, tmp_path, monkeypatch, slack, code):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("p=1\nq=1\nab=0:1\nnmax=3\nrmax=2\n")
+        cases = identities.case_count(identities.parse_grid_file(str(grid)), "catalan")
+        monkeypatch.setattr(cli, "CASE_BUDGET", cases + slack)
+        got, out, err = run_cli(capsys, "verify", "--suite", "catalan", "--grid", str(grid))
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert err == (
+                f"error: suite 'catalan' has {cases} cases on this grid, "
+                f"over the case budget of {cases - 1}\n"
+            )
+
+    def test_over_budget_grid_does_no_work(self, capsys, tmp_path, monkeypatch):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("nmax=100000\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_suite ran on a grid over the budget")
+
+        monkeypatch.setattr(identities, "run_suite", refuse)
+        code, out, err = run_cli(capsys, "verify", "--grid", str(grid))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "over the case budget" in err
+
+    @pytest.mark.parametrize("slack,code", [(0, 0), (-1, 2)])
+    def test_term_cap_boundary(self, capsys, monkeypatch, slack, code):
+        monkeypatch.setattr(cli, "TERM_CAP", 8 + slack)
+        got, out, err = run_cli(capsys, "expand", "--p", "1", "--q", "1", "--terms", "8")
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert err == "error: --terms 8 is over the term cap of 7\n"
+
+    def test_over_cap_expand_does_no_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_expansion ran past the term cap")
+
+        monkeypatch.setattr(genfunc, "check_expansion", refuse)
+        code, out, err = run_cli(
+            capsys, "expand", "--p", "1", "--q", "1", "--terms", str(TERM_CAP + 1)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --terms {TERM_CAP + 1} is over the term cap of {TERM_CAP}\n"
 
 
 class TestExpand:

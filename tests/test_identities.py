@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridseq import (
     GridConfig,
@@ -23,9 +28,10 @@ from hybridseq import (
     run_suite,
     square_difference,
 )
-from hybridseq.identities import DEFAULT_GRID, VERDICT_AUDIT, VERDICT_PASS
+from hybridseq import identities
+from hybridseq.identities import DEFAULT_GRID, VERDICT_AUDIT, VERDICT_PASS, case_count
 
-from helpers import GRID_PARAMS, GRID_PQ, hybrid_oracle, table_mul
+from helpers import GRID_PARAMS, GRID_PQ, SMALL_PQ, hybrid_oracle, table_mul
 
 
 def ctx_for(p, q, a, b):
@@ -324,3 +330,110 @@ class TestSuite:
         flagged = {r.case.name for r in result.printed_failures}
         assert flagged <= {"square-difference", "horadam-commutator", "diag-commutator"}
         assert "horadam-commutator" in flagged
+
+
+def _suite_cases(p, q, a, b, k, j):
+    """(report, Σ ± products) for every suite at one random point.
+
+    k and j are any integers; catalan, cassini, docagne and
+    lucas-fib-exchange take them as given (extended negatives included),
+    the others at the nearest indices in their domain.
+    """
+    ctx = ctx_for(p, q, a, b)
+    seed, fib, luc = (a, b), (0, 1), (2, p)
+    n, m = sorted((abs(k), abs(j)))
+
+    def commutator(x, y):
+        return [(+1, x, y), (-1, y, x)]
+
+    return [
+        (catalan(ctx, k, j, extended=True),
+         [(+1, (seed, k), (seed, k)), (-1, (seed, k + j), (seed, k - j))]),
+        (cassini(ctx, k, extended=True),
+         [(+1, (seed, k), (seed, k)), (-1, (seed, k + 1), (seed, k - 1))]),
+        (docagne(ctx, k, j, extended=True),
+         [(+1, (seed, k), (seed, j + 1)), (-1, (seed, k + 1), (seed, j))]),
+        (adjacent_commutator(ctx, n), commutator((seed, n + 1), (seed, n))),
+        (lucas_fib_exchange(fib_params(p, q), k, j, n),
+         [(+1, (luc, k + j), (fib, k + n)), (-1, (luc, k + n), (fib, k + j))]),
+        (square_difference(fib_params(p, q), n),
+         [(+1, (luc, n), (luc, n)), (-1, (fib, n), (fib, n))]),
+        (horadam_commutator(ctx, n, m), commutator((fib, n), (seed, m))),
+        (diag_commutator(ctx, m), commutator((fib, m), (seed, m))),
+    ]
+
+
+def _int_exactly_when_integral(z: HybridNumber) -> bool:
+    return all((type(c) is int) == (Fraction(c).denominator == 1) for c in z)
+
+
+class TestIntegerNumeratorPath:
+    """The sides are evaluated as integer numerators over one denominator;
+    what a report shows must still be the exact reduced hybrid."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(SMALL_PQ),
+        st.integers(-4, 4),
+        st.integers(-4, 4),
+        st.integers(-8, 12),
+        st.integers(-8, 12),
+    )
+    def test_reports_match_the_fraction_reference(self, pq, a, b, k, j):
+        p, q = pq
+        for report, pairs in _suite_cases(p, q, a, b, k, j):
+            assert report.lhs == lhs_oracle(p, q, a, b, pairs), report.case
+            assert _int_exactly_when_integral(report.lhs), report.case
+            for variant in report.variants:
+                assert variant.passed == (variant.value == report.lhs), report.case
+                assert _int_exactly_when_integral(variant.value), report.case
+            if not report.case.extended:
+                assert report.authoritative_passed, report.case
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_setting_is_restored(self, enabled):
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            run_suite(SMALL_GRID, "cassini")
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_paused_while_running_and_restored_on_error(self, monkeypatch):
+        seen = []
+
+        def failing(*args, **kwargs):
+            seen.append(gc.isenabled())
+            raise ArithmeticError("planted")
+
+        monkeypatch.setattr(identities, "adjacent_commutator", failing)
+        assert gc.isenabled()
+        with pytest.raises(ArithmeticError):
+            run_suite(SMALL_GRID, "adjacent-commutator")
+        assert seen == [False]
+        assert gc.isenabled()
+
+
+class TestCaseCount:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=2, unique=True),
+        st.lists(st.sampled_from((-2, -1, 1, 2)), min_size=1, max_size=2, unique=True),
+        st.integers(0, 4),
+        st.integers(0, 3),
+        st.sampled_from(("all", *identities.SUITES)),
+    )
+    def test_count_matches_the_run(self, ps, qs, nmax, rmax, suite):
+        config = GridConfig(ps=tuple(ps), qs=tuple(qs), ab=((0, 1), (2, "p"), (1, 1)),
+                            nmax=nmax, rmax=rmax)
+        assert case_count(config, suite) == run_suite(config, suite).cases
+
+    def test_default_grid(self):
+        assert case_count(DEFAULT_GRID) == 17530
+
+    def test_unknown_suite_rejected(self):
+        with pytest.raises(GridConfigError):
+            case_count(DEFAULT_GRID, "fermat")

@@ -154,10 +154,10 @@ class TestImportFootprint:
             assert "dataclasses" not in _loaded_by(COMMANDS[command])
 
 
-    @pytest.mark.parametrize("command", ["table", "seq", "binet", "expand"])
+    @pytest.mark.parametrize("command", ["table", "seq", "binet", "expand", "verify"])
     def test_output_commands_skip_json(self, command, bare_modules):
-        # their lines come from fixed templates; only char, verify and
-        # binet's stderr divergence line serialize with json
+        # their lines come from fixed templates; only char, verify --audit
+        # and binet's stderr divergence line serialize with json
         if "json" not in bare_modules:
             assert "json" not in _loaded_by(COMMANDS[command])
 
