@@ -28,9 +28,11 @@ from __future__ import annotations
 import gc
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
+from itertools import chain, combinations_with_replacement, product
 from math import lcm
-from typing import NamedTuple
+from threading import Lock
+from typing import Callable, Iterable, NamedTuple
 
 from . import SUITES
 from .binet import BinetContext, make_context
@@ -152,39 +154,34 @@ def _report(name, params, indices, lhs, printed, corrected=None, label="", exten
                               variants, verdict)
 
 
-# --- memoized evaluation helpers (pure functions of hashable arguments) ---
+# --- the memo state of one run ---
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses")
 
 
-@lru_cache(maxsize=None)
-def _ctx(params: HoradamParams) -> BinetContext:
-    return make_context(params)
+class _Lookups:
+    """Hits and misses of one Evaluator memo, summed over every run_suite call
+    of the process.  Counters only: the values stay with the run."""
+
+    def __init__(self) -> None:
+        self._lock = Lock()
+        self._hits = self._misses = 0
+
+    def add(self, lookups: int, misses: int) -> None:
+        with self._lock:
+            self._hits += lookups - misses
+            self._misses += misses
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses)
 
 
-@lru_cache(maxsize=None)
-def _seq_cache(params: HoradamParams) -> SeqCache:
-    return SeqCache(params)
+_hyb, _prod = _Lookups(), _Lookups()
 
 
-def _scalar(params: HoradamParams, n: int) -> int | Fraction:
-    return _seq_cache(params).value(n)
-
-
-@lru_cache(maxsize=None)
-def _hyb(params: HoradamParams, n: int) -> tuple[HybridNumber, int]:
-    """HJ_n as a pair: the window X_n … X_{n+3} over its common denominator."""
-    return _scaled(_seq_cache(params).window(n, n + 3))
-
-
-@lru_cache(maxsize=None)
-def _prod(pa: HoradamParams, na: int, pb: HoradamParams, nb: int) -> tuple[HybridNumber, int]:
-    (x, dx), (y, dy) = _hyb(pa, na), _hyb(pb, nb)
-    return x * y, dx * dy
-
-
-@lru_cache(maxsize=None)
 def _rhs_consts(p: int, q: int) -> tuple[HybridNumber, HybridNumber, HybridNumber, HybridNumber]:
     """(HL₀ − cross_shift, HF₀ − omega, HL₀ + r-shift, HF₀ + s-shift)."""
-    ctx = _ctx(fib_params(p, q))
+    ctx = make_context(fib_params(p, q))
     return (
         ctx.lucas0 - HybridNumber.from_scalar(ctx.cross_shift),
         ctx.fib0 - ctx.omega,
@@ -202,34 +199,82 @@ def _neg_q_pow(q: int, n: int) -> int | Fraction:
 _PQ = namedtuple("_PQ", "fibs lucs lucas_shifted fib_shifted lucas_sq fib_sq")
 
 
-def _pq(p: int, q: int) -> _PQ:
-    return _PQ(fib_params(p, q), lucas_params(p, q), *map(_scaled, _rhs_consts(p, q)))
+def _pq(pair: tuple[int, int]) -> _PQ:
+    return _PQ(fib_params(*pair), lucas_params(*pair), *map(_scaled, _rhs_consts(*pair)))
+
+
+def _window_pair(seqs: dict[HoradamParams, SeqCache], key) -> tuple[HybridNumber, int]:
+    """HJ_n as a pair: the window X_n … X_{n+3} over its common denominator."""
+    params, n = key
+    return _scaled(seqs[params].window(n, n + 3))
+
+
+class _Memo(dict):
+    """A dict that makes each missing value from its key, once."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
+class Evaluator:
+    """The memo state of one verification run: a ``SeqCache`` per parameter
+    set, HJ_n as (N, den) pairs, their products and the per-(p, q) values.
+
+    :func:`run_suite` makes one and drops it when it returns, and a direct
+    verifier call makes its own, so no value outlives the run that computed
+    it and two runs on two threads share no value.
+    """
+
+    def __init__(self) -> None:
+        self._seqs: dict[HoradamParams, SeqCache] = _Memo(SeqCache)
+        self._hybs: dict[tuple, tuple[HybridNumber, int]] = _Memo(partial(_window_pair, self._seqs))
+        self._prods: dict[tuple, tuple[HybridNumber, int]] = {}
+        self.pq: dict[tuple[int, int], _PQ] = _Memo(_pq)
+        self.prod_lookups = 0
+
+    def scalar(self, params: HoradamParams, n: int) -> int | Fraction:
+        return self._seqs[params].value(n)
+
+    def prod(self, pa: HoradamParams, na: int,
+             pb: HoradamParams, nb: int) -> tuple[HybridNumber, int]:
+        """HJ_na·HJ_nb (over pa and pb) as a pair."""
+        self.prod_lookups += 1
+        pair = self._prods.get((pa, na, pb, nb))
+        if pair is None:
+            (x, dx), (y, dy) = self._hybs[pa, na], self._hybs[pb, nb]
+            pair = self._prods[pa, na, pb, nb] = x * y, dx * dy
+        return pair
 
 
 # --- the identities ---
 #
-# Each takes the (p, q) values as ``pq``; run_suite builds them once per
-# pair, a direct call builds them itself.
+# Each takes the run's Evaluator as ``ev``; a direct call makes its own.
 
 
 def catalan(ctx: BinetContext, m: int, r: int, *, extended: bool = False,
-            pq: _PQ | None = None) -> VerificationReport:
+            ev: Evaluator | None = None) -> VerificationReport:
     """HJ_m² − HJ_{m+r}·HJ_{m−r} against its closed form; domain m ≥ r ≥ 0."""
     if not extended and not m >= r >= 0:
         raise ValueError("catalan requires m >= r >= 0")
     params = ctx.params
     q = params.q
-    pq = pq or _pq(params.p, q)
-    lhs = _lhs(_prod(params, m, params, m), _prod(params, m + r, params, m - r))
+    ev = ev or Evaluator()
+    pq = ev.pq[params.p, q]
+    lhs = _lhs(ev.prod(params, m, params, m), ev.prod(params, m + r, params, m - r))
     fibs = pq.fibs
-    outer = (-ctx.weight_product, _neg_q_pow(q, m), _scalar(fibs, -r))
-    rhs = _rhs((pq.lucas_shifted, _scalar(fibs, r), *outer),
-               (pq.fib_shifted, q, _scalar(pq.lucs, r), *outer))
+    outer = (-ctx.weight_product, _neg_q_pow(q, m), ev.scalar(fibs, -r))
+    rhs = _rhs((pq.lucas_shifted, ev.scalar(fibs, r), *outer),
+               (pq.fib_shifted, q, ev.scalar(pq.lucs, r), *outer))
     return _report("catalan", params, (m, r), lhs, rhs, extended=extended)
 
 
 def cassini(ctx: BinetContext, m: int, *, extended: bool = False,
-            pq: _PQ | None = None) -> VerificationReport:
+            ev: Evaluator | None = None) -> VerificationReport:
     """HJ_m² − HJ_{m+1}·HJ_{m−1} against its closed form; domain m ≥ 1.
 
     The right side must coincide with the catalan right side at r = 1
@@ -240,54 +285,59 @@ def cassini(ctx: BinetContext, m: int, *, extended: bool = False,
         raise ValueError("cassini requires m >= 1")
     params = ctx.params
     p, q = params.p, params.q
-    pq = pq or _pq(p, q)
-    lhs = _lhs(_prod(params, m, params, m), _prod(params, m + 1, params, m - 1))
+    ev = ev or Evaluator()
+    pq = ev.pq[p, q]
+    lhs = _lhs(ev.prod(params, m, params, m), ev.prod(params, m + 1, params, m - 1))
     outer = (ctx.weight_product, _neg_q_pow(q, m - 1))
     rhs = _rhs((pq.lucas_shifted, *outer), (pq.fib_shifted, p * q, *outer))
     report = _report("cassini", params, (m,), lhs, rhs, extended=extended)
-    if catalan(ctx, m, 1, extended=True, pq=pq).rhs_printed != report.rhs_printed:
+    if catalan(ctx, m, 1, extended=True, ev=ev).rhs_printed != report.rhs_printed:
         raise ArithmeticError(f"cassini RHS disagrees with catalan RHS at r=1 for m={m}")
     return report
 
 
 def docagne(ctx: BinetContext, r: int, m: int, *, extended: bool = False,
-            pq: _PQ | None = None) -> VerificationReport:
+            ev: Evaluator | None = None) -> VerificationReport:
     """HJ_r·HJ_{m+1} − HJ_{r+1}·HJ_m against its closed form; any integers."""
     params = ctx.params
     q = params.q
-    pq = pq or _pq(params.p, q)
-    lhs = _lhs(_prod(params, r, params, m + 1), _prod(params, r + 1, params, m))
+    ev = ev or Evaluator()
+    pq = ev.pq[params.p, q]
+    lhs = _lhs(ev.prod(params, r, params, m + 1), ev.prod(params, r + 1, params, m))
     outer = (_neg_q_pow(q, m), ctx.weight_product)
-    rhs = _rhs((pq.lucas_shifted, _scalar(pq.fibs, r - m), *outer),
-               (pq.fib_shifted, q, _scalar(pq.lucs, r - m), *outer))
+    rhs = _rhs((pq.lucas_shifted, ev.scalar(pq.fibs, r - m), *outer),
+               (pq.fib_shifted, q, ev.scalar(pq.lucs, r - m), *outer))
     return _report("docagne", params, (r, m), lhs, rhs, extended=extended)
 
 
-def adjacent_commutator(ctx: BinetContext, r: int, *, pq: _PQ | None = None) -> VerificationReport:
+def adjacent_commutator(ctx: BinetContext, r: int, *,
+                        ev: Evaluator | None = None) -> VerificationReport:
     """HJ_{r+1}·HJ_r − HJ_r·HJ_{r+1} = 2(−q)^{r+1}·A·B·(HF₀ − omega)."""
     if r < 0:
         raise ValueError("adjacent commutator requires r >= 0")
     params = ctx.params
     q = params.q
-    pq = pq or _pq(params.p, q)
-    lhs = _lhs(_prod(params, r + 1, params, r), _prod(params, r, params, r + 1))
+    ev = ev or Evaluator()
+    pq = ev.pq[params.p, q]
+    lhs = _lhs(ev.prod(params, r + 1, params, r), ev.prod(params, r, params, r + 1))
     rhs = _rhs((pq.fib_shifted, 2, _neg_q_pow(q, r + 1), ctx.weight_product))
     return _report("adjacent-commutator", params, (r,), lhs, rhs)
 
 
 def lucas_fib_exchange(params: HoradamParams, n: int, r: int, s: int, *,
-                       pq: _PQ | None = None) -> VerificationReport:
+                       ev: Evaluator | None = None) -> VerificationReport:
     """HL_{n+r}·HF_{n+s} − HL_{n+s}·HF_{n+r} = 2(−q)^{n+r}·F_{s−r}·(HL₀ − cross_shift)."""
     q = params.q
-    pq = pq or _pq(params.p, q)
+    ev = ev or Evaluator()
+    pq = ev.pq[params.p, q]
     fibs, lucs = pq.fibs, pq.lucs
-    lhs = _lhs(_prod(lucs, n + r, fibs, n + s), _prod(lucs, n + s, fibs, n + r))
-    rhs = _rhs((pq.lucas_shifted, 2, _neg_q_pow(q, n + r), _scalar(fibs, s - r)))
+    lhs = _lhs(ev.prod(lucs, n + r, fibs, n + s), ev.prod(lucs, n + s, fibs, n + r))
+    rhs = _rhs((pq.lucas_shifted, 2, _neg_q_pow(q, n + r), ev.scalar(fibs, s - r)))
     return _report("lucas-fib-exchange", fibs, (n, r, s), lhs, rhs)
 
 
 def square_difference(params: HoradamParams, n: int, *,
-                      pq: _PQ | None = None) -> VerificationReport:
+                      ev: Evaluator | None = None) -> VerificationReport:
     """HL_n² − HF_n², with the as-typeset and derivation-implied right sides.
 
     The typeset statement carries the F_{2n} term without the (p²+4q−1)
@@ -297,11 +347,12 @@ def square_difference(params: HoradamParams, n: int, *,
         raise ValueError("square difference requires n >= 0")
     q = params.q
     disc = params.discriminant
-    pq = pq or _pq(params.p, q)
+    ev = ev or Evaluator()
+    pq = ev.pq[params.p, q]
     fibs, lucs = pq.fibs, pq.lucs
-    lhs = _lhs(_prod(lucs, n, lucs, n), _prod(fibs, n, fibs, n))
-    f2n = _scalar(fibs, 2 * n)
-    lucas_term = (pq.lucas_sq, Fraction(disc - 1, disc), _scalar(lucs, 2 * n))
+    lhs = _lhs(ev.prod(lucs, n, lucs, n), ev.prod(fibs, n, fibs, n))
+    f2n = ev.scalar(fibs, 2 * n)
+    lucas_term = (pq.lucas_sq, Fraction(disc - 1, disc), ev.scalar(lucs, 2 * n))
     cross_term = (pq.lucas_shifted, 2, Fraction(disc + 1, disc), _neg_q_pow(q, n))
     printed = _rhs(lucas_term, (pq.fib_sq, f2n), cross_term)
     proof_form = _rhs(lucas_term, (pq.fib_sq, disc - 1, f2n), cross_term)
@@ -309,7 +360,7 @@ def square_difference(params: HoradamParams, n: int, *,
 
 
 def horadam_commutator(ctx: BinetContext, n: int, m: int, *,
-                       pq: _PQ | None = None) -> VerificationReport:
+                       ev: Evaluator | None = None) -> VerificationReport:
     """HF_n·HJ_m − HJ_m·HF_n, printed and sign-flipped right sides.
 
     The typeset statement reads 2(−q)^{n+1}·J_{m−n}·(HF₀ − omega); the
@@ -319,23 +370,26 @@ def horadam_commutator(ctx: BinetContext, n: int, m: int, *,
         raise ValueError("horadam commutator requires m >= n >= 0")
     params = ctx.params
     q = params.q
-    pq = pq or _pq(params.p, q)
+    ev = ev or Evaluator()
+    pq = ev.pq[params.p, q]
     fibs = pq.fibs
-    lhs = _lhs(_prod(fibs, n, params, m), _prod(params, m, fibs, n))
-    printed = _rhs((pq.fib_shifted, 2, _neg_q_pow(q, n + 1), _scalar(params, m - n)))
+    lhs = _lhs(ev.prod(fibs, n, params, m), ev.prod(params, m, fibs, n))
+    printed = _rhs((pq.fib_shifted, 2, _neg_q_pow(q, n + 1), ev.scalar(params, m - n)))
     corrected = (-printed[0], printed[1])
     return _report("horadam-commutator", params, (n, m), lhs, printed, corrected, "proof-form")
 
 
-def diag_commutator(ctx: BinetContext, n: int, *, pq: _PQ | None = None) -> VerificationReport:
+def diag_commutator(ctx: BinetContext, n: int, *,
+                    ev: Evaluator | None = None) -> VerificationReport:
     """HF_n·HJ_n − HJ_n·HF_n, printed and sign-corrected right sides."""
     if n < 0:
         raise ValueError("diag commutator requires n >= 0")
     params = ctx.params
     q = params.q
-    pq = pq or _pq(params.p, q)
+    ev = ev or Evaluator()
+    pq = ev.pq[params.p, q]
     fibs = pq.fibs
-    lhs = _lhs(_prod(fibs, n, params, n), _prod(params, n, fibs, n))
+    lhs = _lhs(ev.prod(fibs, n, params, n), ev.prod(params, n, fibs, n))
     printed = _rhs((pq.fib_shifted, 2, params.a, _neg_q_pow(q, n + 1)))
     corrected = (-printed[0], printed[1])
     return _report("diag-commutator", params, (n,), lhs, printed, corrected, "sign-corrected")
@@ -461,12 +515,48 @@ def grid_param_sets(config: GridConfig) -> list[HoradamParams]:
     return out
 
 
-def _distinct_pq(param_sets: list[HoradamParams]) -> list[tuple[int, int]]:
-    seen: list[tuple[int, int]] = []
-    for params in param_sets:
-        if (params.p, params.q) not in seen:
-            seen.append((params.p, params.q))
-    return seen
+def _catalan_indices(n: int, r: int) -> Iterable[tuple[int, int]]:
+    yield from ((m, k) for m in range(n + 1) for k in range(min(m, r) + 1))
+    yield from product(EXTENDED_RANGE, range(min(r, 3) + 1))
+
+
+def _catalan_count(n: int, r: int) -> int:
+    k = min(n, r)  # m in [0, k] has m + 1 cases, m in (k, n] has k + 1
+    return (k + 1) * (k + 2) // 2 + (n - k) * (k + 1) + len(EXTENDED_RANGE) * (min(r, 3) + 1)
+
+
+class _Suite(NamedTuple):
+    verifier: str  # its module-level name, looked up when run_suite runs
+    per_pq: bool  # once per distinct (p, q), else once per parameter set
+    indices: Callable[[int, int], Iterable[tuple[int, ...]]]  # from (nmax, rmax)
+    count: Callable[[int, int], int]  # how many tuples indices gives, in closed form
+
+
+# A case is extended exactly when one of its indices is negative.
+_SUITE_TABLE = {
+    "catalan": _Suite("catalan", False, _catalan_indices, _catalan_count),
+    "cassini": _Suite("cassini", False,
+                      lambda n, r: product(chain(range(1, n + 1), EXTENDED_RANGE)),
+                      lambda n, r: n + len(EXTENDED_RANGE)),
+    "docagne": _Suite("docagne", False,
+                      lambda n, r: product(range(r + 1), chain(range(n + 1), EXTENDED_RANGE)),
+                      lambda n, r: (r + 1) * (n + 1 + len(EXTENDED_RANGE))),
+    "adjacent-commutator": _Suite("adjacent_commutator", False,
+                                  lambda n, r: product(range(r + 1)),
+                                  lambda n, r: r + 1),
+    "lucas-fib-exchange": _Suite("lucas_fib_exchange", True,
+                                 lambda n, r: product(range(n + 1), range(r + 1), range(r + 1)),
+                                 lambda n, r: (n + 1) * (r + 1) ** 2),
+    "square-difference": _Suite("square_difference", True,
+                                lambda n, r: product(range(n + 1)),
+                                lambda n, r: n + 1),
+    "horadam-commutator": _Suite("horadam_commutator", False,
+                                 lambda n, r: combinations_with_replacement(range(n + 1), 2),
+                                 lambda n, r: (n + 1) * (n + 2) // 2),
+    "diag-commutator": _Suite("diag_commutator", False,
+                              lambda n, r: product(range(n + 1)),
+                              lambda n, r: n + 1),
+}
 
 
 def _suite_names(suite: str) -> tuple[str, ...]:
@@ -478,19 +568,9 @@ def _suite_names(suite: str) -> tuple[str, ...]:
 def case_count(config: GridConfig, suite: str = "all") -> int:
     """The number of cases :func:`run_suite` evaluates, from the grid alone."""
     param_sets = grid_param_sets(config)
-    n, r, ext = config.nmax, config.rmax, len(EXTENDED_RANGE)
-    per_params = {
-        "catalan": sum(min(m, r) + 1 for m in range(n + 1)) + ext * (min(r, 3) + 1),
-        "cassini": n + ext,
-        "docagne": (r + 1) * (n + 1 + ext),
-        "adjacent-commutator": r + 1,
-        "horadam-commutator": (n + 1) * (n + 2) // 2,
-        "diag-commutator": n + 1,
-    }
-    per_pq = {"lucas-fib-exchange": (n + 1) * (r + 1) ** 2, "square-difference": n + 1}
-    n_params, n_pq = len(param_sets), len(_distinct_pq(param_sets))
-    return sum(per_params.get(name, 0) * n_params + per_pq.get(name, 0) * n_pq
-               for name in _suite_names(suite))
+    n_pq = len({(params.p, params.q) for params in param_sets})
+    return sum(row.count(config.nmax, config.rmax) * (n_pq if row.per_pq else len(param_sets))
+               for row in map(_SUITE_TABLE.get, _suite_names(suite)))
 
 
 class SuiteResult:
@@ -547,67 +627,40 @@ class SuiteResult:
 def run_suite(config: GridConfig | None = None, suite: str = "all") -> SuiteResult:
     """Evaluate one identity (or all) over the grid, deterministically ordered.
 
-    Extended-domain probes (negative leading index, flagged on the case)
-    are included for catalan/cassini/docagne but excluded from the
-    :attr:`SuiteResult.all_authoritative_pass` gate.  The loop builds only
-    acyclic records, so the cyclic garbage collector is paused while it
+    Extended-domain probes (a negative index, flagged on the case) are
+    included for catalan/cassini/docagne but excluded from the
+    :attr:`SuiteResult.all_authoritative_pass` gate.  One :class:`Evaluator`
+    holds the run's memo state and is dropped on return.  The loop builds
+    only acyclic records, so the cyclic garbage collector is paused while it
     runs and the caller's setting is restored afterwards.
     """
     if config is None:
         config = DEFAULT_GRID
     names = _suite_names(suite)
     param_sets = grid_param_sets(config)
-    shared = {pair: _pq(*pair) for pair in _distinct_pq(param_sets)}
+    fibs = [fib_params(*pair) for pair in dict.fromkeys((ps.p, ps.q) for ps in param_sets)]
+    per_params = not all(_SUITE_TABLE[name].per_pq for name in names)
+    contexts = [make_context(params) for params in param_sets] if per_params else []
     nmax, rmax = config.nmax, config.rmax
+    ev = Evaluator()
     result = SuiteResult(suite=suite)
     add = result.reports.append
     collecting = gc.isenabled()
     gc.disable()
     try:
         for name in names:
-            if name == "lucas-fib-exchange":
-                for pq in shared.values():
-                    for n in range(nmax + 1):
-                        for r in range(rmax + 1):
-                            for s in range(rmax + 1):
-                                add(lucas_fib_exchange(pq.fibs, n, r, s, pq=pq))
-                continue
-            if name == "square-difference":
-                for pq in shared.values():
-                    for n in range(nmax + 1):
-                        add(square_difference(pq.fibs, n, pq=pq))
-                continue
-            for params in param_sets:
-                ctx, pq = _ctx(params), shared[params.p, params.q]
-                if name == "catalan":
-                    for m in range(nmax + 1):
-                        for r in range(min(m, rmax) + 1):
-                            add(catalan(ctx, m, r, pq=pq))
-                    for m in EXTENDED_RANGE:
-                        for r in range(min(rmax, 3) + 1):
-                            add(catalan(ctx, m, r, extended=True, pq=pq))
-                elif name == "cassini":
-                    for m in range(1, nmax + 1):
-                        add(cassini(ctx, m, pq=pq))
-                    for m in EXTENDED_RANGE:
-                        add(cassini(ctx, m, extended=True, pq=pq))
-                elif name == "docagne":
-                    for r in range(rmax + 1):
-                        for m in range(nmax + 1):
-                            add(docagne(ctx, r, m, pq=pq))
-                        for m in EXTENDED_RANGE:
-                            add(docagne(ctx, r, m, extended=True, pq=pq))
-                elif name == "adjacent-commutator":
-                    for r in range(rmax + 1):
-                        add(adjacent_commutator(ctx, r, pq=pq))
-                elif name == "horadam-commutator":
-                    for n in range(nmax + 1):
-                        for m in range(n, nmax + 1):
-                            add(horadam_commutator(ctx, n, m, pq=pq))
-                elif name == "diag-commutator":
-                    for n in range(nmax + 1):
-                        add(diag_commutator(ctx, n, pq=pq))
-    finally:
+            row = _SUITE_TABLE[name]
+            verify = globals()[row.verifier]  # by name, so that a rebinding reaches it
+            cases = [(indices, min(indices) < 0) for indices in row.indices(nmax, rmax)]
+            for unit in fibs if row.per_pq else contexts:
+                for indices, extended in cases:
+                    if extended:
+                        add(verify(unit, *indices, extended=True, ev=ev))
+                    else:
+                        add(verify(unit, *indices, ev=ev))
+    finally:  # each miss stored one entry, and each product made read two HJ_n
+        _hyb.add(2 * len(ev._prods), len(ev._hybs))
+        _prod.add(ev.prod_lookups, len(ev._prods))
         if collecting:
             gc.enable()
     return result

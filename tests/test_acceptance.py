@@ -1,8 +1,8 @@
 """Acceptance suite: every shipped guarantee, one timed check per criterion.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-pass/fail lines.  Time budgets are asserted as hard limits; caches are
-cleared before the timed suites so the measured runs are cold.
+pass/fail lines.  Time budgets are asserted as hard limits; every
+``run_suite`` call starts from empty memo state, so the timed runs are cold.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from hybridseq import (
     verify_scalar_identities,
 )
 from hybridseq.cli import main
-from hybridseq.identities import DEFAULT_GRID, VERDICT_AUDIT, _hyb, _prod, _seq_cache
+from hybridseq.identities import DEFAULT_GRID, VERDICT_AUDIT
 
 from helpers import UNIT_KEYS, UNIT_TABLE, rand_hybrid
 
@@ -46,12 +46,6 @@ def record(number: int, name: str, ok: bool, elapsed: float, budget: float) -> N
     print(f"criterion {number:2d} {status} {name} ({elapsed * 1000:.2f} ms, budget {budget * 1000:.0f} ms)")
     assert ok, f"criterion {number} ({name}) failed"
     assert within, f"criterion {number} ({name}) exceeded {budget}s: {elapsed:.3f}s"
-
-
-def clear_identity_caches() -> None:
-    _hyb.cache_clear()
-    _prod.cache_clear()
-    _seq_cache.cache_clear()
 
 
 def test_criterion_01_basis_table_fidelity():
@@ -121,7 +115,6 @@ def test_criterion_04_lemma_fidelity():
 
 
 def test_criterion_05_identity_suite():
-    clear_identity_caches()
     suites = ("catalan", "cassini", "docagne", "adjacent-commutator", "lucas-fib-exchange")
     start = time.perf_counter()
     ok = True
@@ -142,7 +135,6 @@ def test_criterion_05_identity_suite():
 
 
 def test_criterion_06_erratum_audit():
-    clear_identity_caches()
     suites = ("square-difference", "horadam-commutator", "diag-commutator")
     start = time.perf_counter()
     results = {name: run_suite(DEFAULT_GRID, name) for name in suites}

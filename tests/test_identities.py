@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import gc
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -332,6 +335,37 @@ class TestSuite:
         assert "horadam-commutator" in flagged
 
 
+class TestRunState:
+    """A run's memo state is its own, so runs may share a process and threads."""
+
+    @staticmethod
+    def _lookups():
+        return [(c.hits, c.misses) for c in (identities._prod.cache_info(),
+                                             identities._hyb.cache_info())]
+
+    def test_concurrent_runs_match_a_serial_run(self):
+        before = self._lookups()
+        serial = run_suite(SMALL_GRID).reports
+        once = self._lookups()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                runs = [pool.submit(run_suite, SMALL_GRID) for _ in range(2)]
+                reports = [run.result(timeout=120).reports for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == [serial, serial]
+        # each run adds its own hits and misses, and none is lost
+        for b, o, t in zip(before, once, self._lookups()):
+            assert o[0] > b[0] and o[1] > b[1]
+            assert (t[0] - o[0], t[1] - o[1]) == (2 * (o[0] - b[0]), 2 * (o[1] - b[1]))
+
+    def test_no_module_level_cache(self):
+        assert not [name for name, value in vars(identities).items()
+                    if hasattr(value, "cache_clear")]
+
+
 def _suite_cases(p, q, a, b, k, j):
     """(report, Σ ± products) for every suite at one random point.
 
@@ -433,6 +467,13 @@ class TestCaseCount:
 
     def test_default_grid(self):
         assert case_count(DEFAULT_GRID) == 17530
+
+    def test_huge_grid_counted_without_iterating(self):
+        config = GridConfig(ps=(1,), qs=(1,), ab=((0, 1),), nmax=10**7, rmax=2)
+        start = time.perf_counter()
+        assert case_count(config, "catalan") == 3 * 10**7 + 15
+        assert case_count(config) == 18 * 10**7 + 52 + (10**7 + 1) * (10**7 + 2) // 2
+        assert time.perf_counter() - start < 1.0
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(GridConfigError):

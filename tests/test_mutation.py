@@ -25,15 +25,6 @@ from helpers import rand_hybrid
 
 MUTATION_GRID = GridConfig(ps=(1, 2), qs=(-1, 2), ab=((0, 1), (2, 3)), nmax=4, rmax=2)
 
-_CACHES = (identities._ctx, identities._seq_cache, identities._hyb, identities._prod,
-           identities._rhs_consts)
-
-
-def _clear_identity_caches() -> None:
-    for cached in _CACHES:
-        cached.cache_clear()
-
-
 def _rhs_const_mutant(index: int, component: str):
     """One unit added to one component of one `_rhs_consts` hybrid."""
 
@@ -86,14 +77,14 @@ def _neg_q_pow_parity(monkeypatch) -> None:
 
 def _scalar_fib_shift(monkeypatch) -> None:
     """F_{r+1} in place of F_r wherever the right side reads a Fibonacci value."""
-    original = identities._scalar
+    original = identities.Evaluator.scalar
 
-    def mutated(params, n):
+    def mutated(self, params, n):
         if params == fib_params(params.p, params.q):
-            return original(params, n + 1)
-        return original(params, n)
+            return original(self, params, n + 1)
+        return original(self, params, n)
 
-    monkeypatch.setattr(identities, "_scalar", mutated)
+    monkeypatch.setattr(identities.Evaluator, "scalar", mutated)
 
 
 def _div_q_off_by_one(monkeypatch) -> None:
@@ -155,13 +146,6 @@ def failing_suites(grid: GridConfig) -> set[str]:
     return failed
 
 
-@pytest.fixture
-def fresh_caches():
-    _clear_identity_caches()
-    yield
-    _clear_identity_caches()
-
-
 def test_matrix_covers_every_mutant():
     assert set(KILL_MATRIX) == set(MUTANTS)
     assert len(MUTANTS) == 22
@@ -179,11 +163,20 @@ def test_unmutated_product_matches_library():
         assert mul(z, w) == z * w
 
 
-def test_unmutated_program_fails_nothing(fresh_caches):
+def test_unmutated_program_fails_nothing():
     assert failing_suites(MUTATION_GRID) == set()
 
 
 @pytest.mark.parametrize("name", list(MUTANTS))
-def test_kill_set_matches_matrix(name, monkeypatch, fresh_caches):
+def test_kill_set_matches_matrix(name, monkeypatch):
     MUTANTS[name](monkeypatch)
     assert failing_suites(MUTATION_GRID) == KILL_MATRIX[name]
+
+
+def test_values_computed_under_a_mutant_do_not_outlive_its_run(monkeypatch):
+    """Each run keeps its values to itself: once a mutant is undone, the next
+    run computes afresh, with nothing to clear."""
+    MUTANTS["sequences._div_q +1"](monkeypatch)
+    assert not run_suite(MUTATION_GRID, "catalan").all_authoritative_pass
+    monkeypatch.undo()
+    assert run_suite(MUTATION_GRID, "catalan").all_authoritative_pass

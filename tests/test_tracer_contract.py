@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridseq import SUITES
+from hybridseq import SUITES, identities
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -30,9 +30,12 @@ PROBES = {
 }
 
 
+PROBE_GRID = "p=1\nq=2\nab=0:1\nnmax=3\nrmax=2\n"
+
+
 def _trace(tmp_path: Path, argv: tuple[str, ...]) -> dict:
     grid = tmp_path / "probe.txt"
-    grid.write_text("p=1\nq=2\nab=0:1\nnmax=3\nrmax=2\n")
+    grid.write_text(PROBE_GRID)
     out = tmp_path / "trace.json"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
@@ -58,3 +61,8 @@ def test_verify_trace_has_every_layer(tmp_path):
     assert report["calls"]["identities.cases"] > 0
     assert report["calls"]["hybrid.mul"] > 0
     assert {f"identities.{suite}" for suite in SUITES} <= set(report["total"])
+    # run_suite reaches each verifier through the name the tracer rebinds
+    probe_grid = identities.parse_grid_text(PROBE_GRID)
+    for suite in SUITES:
+        cases = identities.case_count(probe_grid, suite)
+        assert report["calls"][f"identities.{suite}"] == cases, suite
