@@ -6,10 +6,12 @@ likewise, the generalized hybrid sequence has the closed form
 
     HJ_n = (A·α̲·α^n − B·β̲·β^n) / (α − β),   A = b − a·β,  B = b − a·α.
 
-Every component of the quotient is rational: the s-parts cancel and the
-projection back to the rationals raises if they ever do not.  The context also
-carries the constant hybrids and scalars that the product/square lemmas
-and the identity right-hand sides are built from.
+Component k of HJ_n is J_m with m = n + k.  B, β and β^m are the s ↦ −s
+conjugates of A, α and α^m, so if A·α^m = x + y·s, then J_m = 2·y·s/s = 2·y,
+rational by construction.  :func:`binet_window` reaches A·α^lo = (X + Y·s)/den
+by one power, then multiplies by α = (p + s)/2 on integers:
+(X, Y, den) → (p·X + D·Y, X + p·Y, 2·den).  The context also carries the
+constants of the product/square lemmas and of the identity right-hand sides.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactarith import QuadExt, roots
+from .exactarith import QuadExt, _rational, roots
 from .hybrid import HybridNumber
 from .sequences import HoradamParams, fib, hybrid_seq
 
@@ -59,9 +61,6 @@ def make_context(params: HoradamParams) -> BinetContext:
     alpha, beta = roots(p, q)
     alpha_hybrid = HybridNumber(QuadExt(1, 0, alpha.d), alpha, alpha**2, alpha**3)
     beta_hybrid = HybridNumber(QuadExt(1, 0, beta.d), beta, beta**2, beta**3)
-    alpha_weight = b - beta * a
-    beta_weight = b - alpha * a
-    weight_product = b * b - p * a * b - q * a * a
     f = [fib(p, q, n) for n in range(7)]
     fib_sum = f[6] + 2 * f[3] - f[2]
     return BinetContext(
@@ -71,9 +70,9 @@ def make_context(params: HoradamParams) -> BinetContext:
         beta=beta,
         alpha_hybrid=alpha_hybrid,
         beta_hybrid=beta_hybrid,
-        alpha_weight=alpha_weight,
-        beta_weight=beta_weight,
-        weight_product=weight_product,
+        alpha_weight=b - beta * a,
+        beta_weight=b - alpha * a,
+        weight_product=b * b - p * a * b - q * a * a,
         cross_shift=q**3 + p * q - q + 1,
         omega=HybridNumber(0, 1 - p, -q, p * p + q + 1),
         square_lucas_shift=-1 + Fraction(p, 2) * fib_sum + q * (f[5] + 2 * f[2] - f[1]),
@@ -88,31 +87,31 @@ def lift(z: HybridNumber, d: int) -> HybridNumber:
     return HybridNumber(*(QuadExt(c, 0, d) for c in z.parts()))
 
 
-def project(z: HybridNumber) -> HybridNumber:
-    """Project QuadExt components back to rationals (s-parts must vanish)."""
-    return HybridNumber(*(c.rational_part() for c in z.parts()))
+def binet_window(ctx: BinetContext, lo: int, hi: int) -> list[HybridNumber]:
+    """[HJ_lo, …, HJ_hi] from one power of α and integer steps."""
+    p, d = ctx.params.p, ctx.disc
+    start = ctx.alpha_weight * ctx.alpha**lo
+    x, y, den = start._x, start._y, start._den
+    values = []
+    for _ in range(hi - lo + 4):
+        values.append(_rational(2 * y, den))
+        x, y, den = p * x + d * y, x + p * y, 2 * den
+    return [HybridNumber(*values[k : k + 4]) for k in range(hi - lo + 1)]
 
 
 def binet_horadam(ctx: BinetContext, n: int) -> HybridNumber:
     """Closed-form HJ_n; exactly equals the recurrence path for every n."""
-    numerator = ctx.alpha_hybrid.scale(ctx.alpha_weight * ctx.alpha**n) - ctx.beta_hybrid.scale(
-        ctx.beta_weight * ctx.beta**n
-    )
-    root_diff = ctx.alpha - ctx.beta
-    return HybridNumber(*((c / root_diff).rational_part() for c in numerator.parts()))
+    return binet_window(ctx, n, n)[0]
 
 
 def binet_fib(ctx: BinetContext, n: int) -> HybridNumber:
-    """Closed-form HF_n = (α̲·α^n − β̲·β^n)/(α−β)."""
-    numerator = ctx.alpha_hybrid.scale(ctx.alpha**n) - ctx.beta_hybrid.scale(ctx.beta**n)
-    root_diff = ctx.alpha - ctx.beta
-    return HybridNumber(*((c / root_diff).rational_part() for c in numerator.parts()))
+    """Closed-form HF_n: the walk with weight A = 1 (seeds 0, 1)."""
+    return binet_horadam(ctx._replace(alpha_weight=QuadExt(1, 0, ctx.disc)), n)
 
 
 def binet_lucas(ctx: BinetContext, n: int) -> HybridNumber:
-    """Closed-form HL_n = α̲·α^n + β̲·β^n (no division needed)."""
-    total = ctx.alpha_hybrid.scale(ctx.alpha**n) + ctx.beta_hybrid.scale(ctx.beta**n)
-    return project(total)
+    """Closed-form HL_n: the walk with weight A = s (seeds 2, p)."""
+    return binet_horadam(ctx._replace(alpha_weight=QuadExt(0, 1, ctx.disc)), n)
 
 
 def _checked(direct: HybridNumber, closed: HybridNumber, label: str) -> HybridNumber:

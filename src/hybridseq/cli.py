@@ -149,14 +149,14 @@ def cmd_binet(args: argparse.Namespace) -> int:
     resolved = sequences.resolve_params(params, args.seq)
     window = sequences.SeqCache(resolved)
     values = _window(window, args.start, args.stop, 4)
-    ctx = binet.make_context(resolved)
+    closed = binet.binet_window(binet.make_context(resolved), args.start, args.stop)
     header, line = _BINET_LINES[args.format]
     write = sys.stdout.write
     write(header)
     divergence = False
-    for row in _rendered(values, args.start, 4):
+    for row, value in zip(_rendered(values, args.start, 4), closed):
         n = row[0]
-        if binet.binet_horadam(ctx, n) != window.hybrid(n):
+        if value != window.hybrid(n):
             print(_jline({"n": n, "error": "binet/recurrence divergence"}), file=sys.stderr)
             divergence = True
             continue

@@ -262,15 +262,20 @@ def catalan(ctx: BinetContext, m: int, r: int, *, extended: bool = False,
     if not extended and not m >= r >= 0:
         raise ValueError("catalan requires m >= r >= 0")
     params = ctx.params
-    q = params.q
     ev = ev or Evaluator()
-    pq = ev.pq[params.p, q]
     lhs = _lhs(ev.prod(params, m, params, m), ev.prod(params, m + r, params, m - r))
+    rhs = _catalan_rhs(ctx, m, r, ev)
+    return _report("catalan", params, (m, r), lhs, rhs, extended=extended)
+
+
+def _catalan_rhs(ctx: BinetContext, m: int, r: int, ev: Evaluator) -> tuple[HybridNumber, int]:
+    """Catalan's right side as a pair, from scalars and the constant hybrids."""
+    q = ctx.params.q
+    pq = ev.pq[ctx.params.p, q]
     fibs = pq.fibs
     outer = (-ctx.weight_product, _neg_q_pow(q, m), ev.scalar(fibs, -r))
-    rhs = _rhs((pq.lucas_shifted, ev.scalar(fibs, r), *outer),
-               (pq.fib_shifted, q, ev.scalar(pq.lucs, r), *outer))
-    return _report("catalan", params, (m, r), lhs, rhs, extended=extended)
+    return _rhs((pq.lucas_shifted, ev.scalar(fibs, r), *outer),
+                (pq.fib_shifted, q, ev.scalar(pq.lucs, r), *outer))
 
 
 def cassini(ctx: BinetContext, m: int, *, extended: bool = False,
@@ -290,10 +295,9 @@ def cassini(ctx: BinetContext, m: int, *, extended: bool = False,
     lhs = _lhs(ev.prod(params, m, params, m), ev.prod(params, m + 1, params, m - 1))
     outer = (ctx.weight_product, _neg_q_pow(q, m - 1))
     rhs = _rhs((pq.lucas_shifted, *outer), (pq.fib_shifted, p * q, *outer))
-    report = _report("cassini", params, (m,), lhs, rhs, extended=extended)
-    if catalan(ctx, m, 1, extended=True, ev=ev).rhs_printed != report.rhs_printed:
+    if not _same(rhs, _catalan_rhs(ctx, m, 1, ev)):
         raise ArithmeticError(f"cassini RHS disagrees with catalan RHS at r=1 for m={m}")
-    return report
+    return _report("cassini", params, (m,), lhs, rhs, extended=extended)
 
 
 def docagne(ctx: BinetContext, r: int, m: int, *, extended: bool = False,

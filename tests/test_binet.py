@@ -10,6 +10,7 @@ from hybridseq import (
     HoradamParams,
     HybridNumber,
     QuadExt,
+    SeqCache,
     alphabar_squared,
     betabar_squared,
     binet_fib,
@@ -21,7 +22,7 @@ from hybridseq import (
     product_alphabar_betabar,
     product_betabar_alphabar,
 )
-from hybridseq.binet import lift
+from hybridseq.binet import binet_window, lift
 
 from helpers import GRID_PARAMS, GRID_PQ, hybrid_oracle
 
@@ -87,6 +88,11 @@ class TestBinetValues:
             ctx = make_context(params)
             for n in range(-8, 41):
                 assert binet_horadam(ctx, n) == hybrid_seq(params, "horadam", n), (params, n)
+
+    def test_window_walk_matches_recurrence_window(self):
+        for params in GRID_PARAMS:
+            window = binet_window(make_context(params), -30, 60)
+            assert window == [SeqCache(params).hybrid(n) for n in range(-30, 61)], params
 
     def test_fib_specialization(self):
         ctx = make_context(fib_params(1, 1))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hybridseq import HybridNumber, binet, cli, genfunc, identities, sequences
+from hybridseq import HybridNumber, QuadExt, binet, cli, genfunc, identities, sequences
 from hybridseq.cli import CASE_BUDGET, DIGIT_CAP, TERM_CAP, _over_cap, main
 
 EXPECTED_TABLE = """\
@@ -147,13 +147,13 @@ class TestBinet:
         assert "nonzero" in err
 
     def test_every_index_is_cross_checked(self, capsys, monkeypatch):
-        closed_form = binet.binet_horadam
+        closed_form = binet.binet_window
 
-        def perturbed(ctx, n):
-            z = closed_form(ctx, n)
-            return z + HybridNumber(0, 0, 1, 0) if n == 37 else z
+        def perturbed(ctx, lo, hi):
+            return [z + HybridNumber(0, 0, 1, 0) if n == 37 else z
+                    for n, z in enumerate(closed_form(ctx, lo, hi), lo)]
 
-        monkeypatch.setattr(binet, "binet_horadam", perturbed)
+        monkeypatch.setattr(binet, "binet_window", perturbed)
         code, out, err = run_cli(
             capsys, "binet", "--p", "2", "--q", "-3", "--from", "-20", "--to", "60"
         )
@@ -178,6 +178,21 @@ class TestBinet:
         assert code == 0
         assert len(out.splitlines()) == 500
         assert len(constructed) <= 4
+
+    def test_one_power_per_window(self, capsys, monkeypatch):
+        # make_context's α², α³, β², β³, then one power for the whole walk
+        powers = []
+        original_pow = QuadExt.__pow__
+
+        def counting_pow(self, exponent):
+            powers.append(exponent)
+            return original_pow(self, exponent)
+
+        monkeypatch.setattr(QuadExt, "__pow__", counting_pow)
+        code, out, _ = run_cli(capsys, "binet", "--p", "1", "--q", "1", "--from", "0", "--to", "499")
+        assert code == 0
+        assert len(out.splitlines()) == 500
+        assert len(powers) <= 5
 
 
 class TestChar:
@@ -213,10 +228,10 @@ class TestArithmeticErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_closed_form_failure_is_a_verification_error(self, capsys, monkeypatch):
-        def broken(ctx, n):
-            raise binet.LemmaMismatchError(f"closed form failed at n={n}")
+        def broken(ctx, lo, hi):
+            raise binet.LemmaMismatchError(f"closed form failed at n={lo}")
 
-        monkeypatch.setattr(binet, "binet_horadam", broken)
+        monkeypatch.setattr(binet, "binet_window", broken)
         code, _, err = run_cli(capsys, "binet", "--p", "1", "--q", "1", "--to", "3")
         assert code == 1
         assert err == "error: closed form failed at n=0\n"

@@ -7,6 +7,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from hybridseq import (
     run_suite,
     square_difference,
 )
-from hybridseq import identities
+from hybridseq import cli, identities
 from hybridseq.identities import DEFAULT_GRID, VERDICT_AUDIT, VERDICT_PASS, case_count
 
 from helpers import GRID_PARAMS, GRID_PQ, SMALL_PQ, hybrid_oracle, table_mul
@@ -333,6 +334,48 @@ class TestSuite:
         flagged = {r.case.name for r in result.printed_failures}
         assert flagged <= {"square-difference", "horadam-commutator", "diag-commutator"}
         assert "horadam-commutator" in flagged
+
+
+class TestGate:
+    """Exactly one failing gated case, wherever it falls, fails the gate."""
+
+    SUITE = "adjacent-commutator"  # no extended cases: the last report is gated
+    GRID_TEXT = "p=1,2\nq=-1,1\nab=0:1,2:p\nnmax=4\nrmax=3\n"  # SMALL_GRID
+
+    @staticmethod
+    def _failing_at(verifier, position: int):
+        """``verifier``, with the report of its call number ``position`` failed."""
+        calls = count()
+
+        def one_failure(*args, **kwargs):
+            report = verifier(*args, **kwargs)
+            if next(calls) == position:
+                variants = tuple(v._replace(passed=False) for v in report.variants)
+                report = report._replace(variants=variants, verdict=identities.VERDICT_FAIL)
+            return report
+
+        return one_failure
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_one_failed_case_fails_the_run(self, monkeypatch, capsys, tmp_path, where):
+        assert parse_grid_text(self.GRID_TEXT) == SMALL_GRID
+        cases = case_count(SMALL_GRID, self.SUITE)
+        position = {"first": 0, "middle": cases // 2, "last": cases - 1}[where]
+        verifier = identities.adjacent_commutator
+        monkeypatch.setattr(identities, "adjacent_commutator", self._failing_at(verifier, position))
+        result = run_suite(SMALL_GRID, self.SUITE)
+        assert result.cases == cases
+        assert [r.verdict for r in result.reports].index("all-fail") == position
+        assert result.tally()[3] is False
+        assert result.all_authoritative_pass is False
+
+        grid = tmp_path / "grid.txt"
+        grid.write_text(self.GRID_TEXT)
+        monkeypatch.setattr(identities, "adjacent_commutator", self._failing_at(verifier, position))
+        code = cli.main(["verify", "--suite", self.SUITE, "--grid", str(grid)])
+        out, _ = capsys.readouterr()
+        assert code == 1
+        assert '"all_authoritative_pass":false' in out.splitlines()[-1]
 
 
 class TestRunState:

@@ -11,15 +11,25 @@ a row and fails here.
 
 ``MUTATION_GRID`` (684 cases) gives the same matrix as the default grid
 (17,530 cases) at a small fraction of the cost.
+
+The ``binet`` command checks its closed-form walk against one recurrence
+window; ``BINET_KILLS`` plants one bug on each side of that check and pins
+the lines it must report as divergent.
 """
 
 from __future__ import annotations
 
+import __future__
+import inspect
+import json
 import random
+import textwrap
 
 import pytest
 
-from hybridseq import SUITES, GridConfig, HybridNumber, fib_params, identities, run_suite, sequences
+from hybridseq import (
+    SUITES, GridConfig, HybridNumber, binet, cli, fib_params, identities, run_suite, sequences,
+)
 
 from helpers import rand_hybrid
 
@@ -180,3 +190,61 @@ def test_values_computed_under_a_mutant_do_not_outlive_its_run(monkeypatch):
     assert not run_suite(MUTATION_GRID, "catalan").all_authoritative_pass
     monkeypatch.undo()
     assert run_suite(MUTATION_GRID, "catalan").all_authoritative_pass
+
+
+# --- the binet command: closed-form walk against one recurrence window ---
+
+
+def _mutated(fn, old: str, new: str):
+    """A copy of ``fn`` compiled from its source with ``old`` replaced by
+    ``new`` once, sharing ``fn``'s module globals."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    code = compile(source.replace(old, new), inspect.getsourcefile(fn), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    namespace: dict = {}
+    exec(code, fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+def _seqcache_step_mutant(monkeypatch) -> None:
+    """One unit too much on the forward recurrence step into X_30."""
+    value = _mutated(sequences.SeqCache.value, "prev, cur = cur, p * cur + q * prev",
+                     "prev, cur = cur, p * cur + q * prev + (k == 30)")
+    monkeypatch.setattr(sequences.SeqCache, "value", value)
+
+
+def _walk_step_mutant(monkeypatch) -> None:
+    """One unit too much on the s-part of every step of the closed-form walk."""
+    monkeypatch.setattr(binet, "binet_window",
+                        _mutated(binet.binet_window, "x + p * y", "x + p * y + 1"))
+
+
+BINET_ARGV = ["binet", "--p", "2", "--q", "-3", "--from", "-20", "--to", "60"]
+
+# mutant -> the lines n whose window X_n … X_{n+3} holds a wrong value
+BINET_KILLS = {
+    "SeqCache forward step +1 into X_30": (_seqcache_step_mutant, range(27, 61)),
+    "walk step X + p·Y + 1": (_walk_step_mutant, range(-20, 61)),
+}
+
+
+@pytest.mark.parametrize("name", list(BINET_KILLS))
+def test_binet_divergence_names_every_affected_line(name, monkeypatch, capsys):
+    install, affected = BINET_KILLS[name]
+    install(monkeypatch)
+    code = cli.main(BINET_ARGV)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"n": n, "error": "binet/recurrence divergence"} for n in affected
+    ]
+    assert [json.loads(line)["n"] for line in out.splitlines()] == [
+        n for n in range(-20, 61) if n not in affected
+    ]
+
+
+def test_unmutated_binet_passes(capsys):
+    assert cli.main(BINET_ARGV) == 0
+    out, err = capsys.readouterr()
+    assert (len(out.splitlines()), err) == (81, "")
