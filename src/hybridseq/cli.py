@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import SUITES, sequences
@@ -208,24 +209,34 @@ def _case_fields(report: VerificationReport, sep: str) -> tuple:
             "true" if case.extended else "false", report.verdict)
 
 
-def _audit_json(report: VerificationReport) -> dict:
+def _printed_values(report: VerificationReport, audit: bool) -> tuple[HybridNumber, ...]:
+    """The values a csv line (the left side) or an --audit line (and each
+    variant's value) prints, each reduced once and checked against the cap."""
+    values = (report.lhs, *(v.value for v in report.variants)) if audit else (report.lhs,)
+    if any(map(_over_cap, chain.from_iterable(values))):
+        case = report.case
+        raise _cap_error(f"{case.name} at indices {','.join(map(str, case.indices))}")
+    return values
+
+
+def _plain_line(report: VerificationReport) -> str:
+    return _VERIFY_CASE % _case_fields(report, ",")
+
+
+def _csv_line(report: VerificationReport) -> str:
+    (lhs,) = _printed_values(report, audit=False)
+    return _VERIFY_CSV[1] % (*_case_fields(report, ":"), *map(format_rational, lhs))
+
+
+def _audit_line(report: VerificationReport) -> str:
     case = report.case
+    lhs, *values = _printed_values(report, audit=True)
     variants = [{"label": v.label, "authoritative": v.authoritative, "pass": v.passed,
-                 "value": v.value.to_json_dict()} for v in report.variants]
-    return {"identity": case.name, "params": case.params._asdict(),
-            "indices": list(case.indices), "extended": case.extended, "verdict": report.verdict,
-            "lhs": report.lhs.to_json_dict(), "variants": variants}
-
-
-def _check_verify_cap(reports: list[VerificationReport], audit: bool) -> None:
-    """Every value that csv (left sides) or --audit (and variants) prints."""
-    for report in reports:
-        values = report.lhs
-        if audit:
-            values = [*values, *(c for v in report.variants for c in v.value)]
-        if any(map(_over_cap, values)):
-            case = report.case
-            raise _cap_error(f"{case.name} at indices {','.join(map(str, case.indices))}")
+                 "value": value.to_json_dict()} for v, value in zip(report.variants, values)]
+    return _jline({"identity": case.name, "params": case.params._asdict(),
+                   "indices": list(case.indices), "extended": case.extended,
+                   "verdict": report.verdict, "lhs": lhs.to_json_dict(),
+                   "variants": variants}) + "\n"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -240,25 +251,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"suite {args.suite!r} has {cases} cases on this grid, "
             f"over the case budget of {CASE_BUDGET}"
         )
-    result = identities.run_suite(config, args.suite)
-    counts, extended, extended_failures, gate = result.tally()
-    if result.cases == extended:
+    if not identities.case_count(config, args.suite, gated=True):
         raise identities.GridConfigError(
             f"nothing to verify: suite {args.suite!r} has no gated case on this grid "
-            f"({result.cases} cases, all extended-domain probes)"
+            f"({cases} cases, all extended-domain probes)"
         )
-    if args.format == "csv" or args.audit:
-        _check_verify_cap(result.reports, args.audit)
     write = sys.stdout.write
+    held: list[str] = []
+    if args.format == "json" and not args.audit:  # verdicts only: each line goes out at once
+        emit, render = write, _plain_line
+    else:  # lines with values are held to the end, so an over-cap value stops the run first
+        emit, render = held.append, _csv_line if args.format == "csv" else _audit_line
+    result = identities.run_suite(config, args.suite, sink=lambda report: emit(render(report)))
     if args.format == "csv":
-        header, line = _VERIFY_CSV
-        write(header)
-        for report in result.reports:
-            write(line % (*_case_fields(report, ":"), *map(format_rational, report.lhs)))
-    else:
-        for report in result.reports:
-            write(_jline(_audit_json(report)) + "\n" if args.audit
-                  else _VERIFY_CASE % _case_fields(report, ","))
+        write(_VERIFY_CSV[0])
+    sys.stdout.writelines(held)
+    counts, extended, extended_failures, gate = result.tally()
+    if args.format == "json":
         write(_VERIFY_SUMMARY % (result.suite, result.cases, *counts.values(), extended,
                                  extended_failures, "true" if gate else "false"))
     return 0 if gate else VERIFY_ERROR

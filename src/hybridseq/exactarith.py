@@ -204,13 +204,6 @@ class QuadExt:
             raise IrrationalResidueError(f"irrational residue: {self!r}")
         return _rational(self._x, self._den)
 
-    def to_json_dict(self) -> dict:
-        return {"x": format_rational(self.x), "y": format_rational(self.y), "D": self.d}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> QuadExt:
-        return cls(parse_rational(data["x"]), parse_rational(data["y"]), int(data["D"]))
-
 
 _set_x = QuadExt._x.__set__
 _set_y = QuadExt._y.__set__

@@ -84,7 +84,8 @@ class HybridNumber(NamedTuple):
 
         The character can be negative, so the exact quantity of record is
         :meth:`character`; the norm keeps the magnitude and the sign class
-        separately instead of producing a non-real square root.
+        separately instead of producing a non-real square root.  A magnitude
+        past the float range raises :class:`OverflowError`.
         """
         c = self.character()
         if c > 0:
@@ -93,7 +94,12 @@ class HybridNumber(NamedTuple):
             sign_class = "null"
         else:
             sign_class = "negative"
-        return HybridNorm(math.sqrt(abs(c)), sign_class)
+        size = abs(c)
+        try:  # past 2**1023, √|c| comes from the integer square root (over 500 bits)
+            magnitude = math.sqrt(size) if size < 2**1023 else float(math.isqrt(math.floor(size)))
+        except OverflowError:
+            raise OverflowError("the norm magnitude √|character| is out of float range") from None
+        return HybridNorm(magnitude, sign_class)
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,7 +13,8 @@ hybrid N with ``int`` components and a positive ``int`` den, standing for
 N/den.  The left side multiplies and subtracts numerators; the right side
 folds its scalar factors into one ratio and applies it to the numerators
 of the constant hybrids.  The two pairs meet only in one cross-multiplied
-comparison, and the reported values are reduced from the pairs afterwards.
+comparison.  A report keeps the pairs and reduces a value only when it is
+read, so a run that prints only verdicts reduces none.
 
 Three identities are commonly stated with a sign or coefficient slip; for
 those the verifier evaluates the statement as usually typeset (variant
@@ -58,18 +59,32 @@ class IdentityCase(NamedTuple):
     extended: bool = False
 
 
-class VariantResult(NamedTuple):
+class _VariantFields(NamedTuple):
     label: str
-    value: HybridNumber
+    value: HybridNumber | tuple[HybridNumber, int]
     passed: bool
     authoritative: bool
 
 
-class VerificationReport(NamedTuple):
+class VariantResult(_VariantFields):
+    """One right side's outcome; ``value`` is kept as a pair, reduced on read."""
+
+    __slots__ = ()
+    value = property(lambda self: _value(self[1]))
+
+
+class _ReportFields(NamedTuple):
     case: IdentityCase
-    lhs: HybridNumber
+    lhs: HybridNumber | tuple[HybridNumber, int]
     variants: tuple[VariantResult, ...]
     verdict: str
+
+
+class VerificationReport(_ReportFields):
+    """One case's verdict; ``lhs`` is kept as a pair, reduced on read."""
+
+    __slots__ = ()
+    lhs = property(lambda self: _value(self[1]))
 
     @property
     def rhs_printed(self) -> HybridNumber:
@@ -95,7 +110,10 @@ def _scaled(values) -> tuple[HybridNumber, int]:
 
 
 def _value(pair) -> HybridNumber:
-    """The reduced hybrid of a pair: ``int`` components where integral."""
+    """The reduced hybrid of a pair: ``int`` components where integral.
+    A hybrid (a record built with a reduced value) is returned as it is."""
+    if isinstance(pair, HybridNumber):
+        return pair
     num, den = pair
     return num if den == 1 else _hybrid(_rational(c, den) for c in num)
 
@@ -141,17 +159,16 @@ def _report(name, params, indices, lhs, printed, corrected=None, label="", exten
     variant and printed is only audited."""
     ok = _same(lhs, printed)
     if corrected is None:
-        variants = (VariantResult("printed", _value(printed), ok, True),)
+        variants = (VariantResult("printed", printed, ok, True),)
         verdict = VERDICT_PASS if ok else VERDICT_FAIL
     else:
         fixed = _same(lhs, corrected)
         variants = (
-            VariantResult("printed", _value(printed), ok, False),
-            VariantResult(label, _value(corrected), fixed, True),
+            VariantResult("printed", printed, ok, False),
+            VariantResult(label, corrected, fixed, True),
         )
         verdict = VERDICT_PASS if ok else VERDICT_AUDIT if fixed else VERDICT_FAIL
-    return VerificationReport(IdentityCase(name, params, indices, extended), _value(lhs),
-                              variants, verdict)
+    return VerificationReport(IdentityCase(name, params, indices, extended), lhs, variants, verdict)
 
 
 # --- the memo state of one run ---
@@ -526,25 +543,29 @@ def _catalan_indices(n: int, r: int) -> Iterable[tuple[int, int]]:
 
 def _catalan_count(n: int, r: int) -> int:
     k = min(n, r)  # m in [0, k] has m + 1 cases, m in (k, n] has k + 1
-    return (k + 1) * (k + 2) // 2 + (n - k) * (k + 1) + len(EXTENDED_RANGE) * (min(r, 3) + 1)
+    return (k + 1) * (k + 2) // 2 + (n - k) * (k + 1)
 
 
 class _Suite(NamedTuple):
     verifier: str  # its module-level name, looked up when run_suite runs
     per_pq: bool  # once per distinct (p, q), else once per parameter set
     indices: Callable[[int, int], Iterable[tuple[int, ...]]]  # from (nmax, rmax)
-    count: Callable[[int, int], int]  # how many tuples indices gives, in closed form
+    # how many tuples indices gives, in closed form: those with no negative
+    # index (gated), and the extended-domain probes
+    count: Callable[[int, int], int]
+    probes: Callable[[int, int], int] = lambda n, r: 0
 
 
 # A case is extended exactly when one of its indices is negative.
 _SUITE_TABLE = {
-    "catalan": _Suite("catalan", False, _catalan_indices, _catalan_count),
+    "catalan": _Suite("catalan", False, _catalan_indices, _catalan_count,
+                      lambda n, r: len(EXTENDED_RANGE) * (min(r, 3) + 1)),
     "cassini": _Suite("cassini", False,
                       lambda n, r: product(chain(range(1, n + 1), EXTENDED_RANGE)),
-                      lambda n, r: n + len(EXTENDED_RANGE)),
+                      lambda n, r: n, lambda n, r: len(EXTENDED_RANGE)),
     "docagne": _Suite("docagne", False,
                       lambda n, r: product(range(r + 1), chain(range(n + 1), EXTENDED_RANGE)),
-                      lambda n, r: (r + 1) * (n + 1 + len(EXTENDED_RANGE))),
+                      lambda n, r: (r + 1) * (n + 1), lambda n, r: (r + 1) * len(EXTENDED_RANGE)),
     "adjacent-commutator": _Suite("adjacent_commutator", False,
                                   lambda n, r: product(range(r + 1)),
                                   lambda n, r: r + 1),
@@ -569,67 +590,57 @@ def _suite_names(suite: str) -> tuple[str, ...]:
     return SUITES if suite == "all" else (suite,)
 
 
-def case_count(config: GridConfig, suite: str = "all") -> int:
-    """The number of cases :func:`run_suite` evaluates, from the grid alone."""
+def case_count(config: GridConfig, suite: str = "all", *, gated: bool = False) -> int:
+    """The number of cases :func:`run_suite` evaluates, from the grid alone;
+    with ``gated``, only those the gate counts (no index negative)."""
     param_sets = grid_param_sets(config)
     n_pq = len({(params.p, params.q) for params in param_sets})
-    return sum(row.count(config.nmax, config.rmax) * (n_pq if row.per_pq else len(param_sets))
+    n, r = config.nmax, config.rmax
+    return sum((row.count(n, r) + (0 if gated else row.probes(n, r)))
+               * (n_pq if row.per_pq else len(param_sets))
                for row in map(_SUITE_TABLE.get, _suite_names(suite)))
 
 
 class SuiteResult:
-    """The reports of one :func:`run_suite` call, in run order."""
+    """The running totals of one :func:`run_suite` call, and its reports in
+    run order when no sink took them.  ``all_authoritative_pass`` is the
+    gate: every non-extended case matched its authoritative variant."""
 
-    def __init__(self, suite: str, reports: list[VerificationReport] | None = None) -> None:
+    def __init__(self, suite: str) -> None:
         self.suite = suite
-        self.reports = [] if reports is None else reports
+        self.reports: list[VerificationReport] = []
+        self.cases = self.extended_cases = self.extended_failures = 0
+        self.verdict_counts = {VERDICT_PASS: 0, VERDICT_AUDIT: 0, VERDICT_FAIL: 0}
+        self.all_authoritative_pass = True
 
-    @property
-    def cases(self) -> int:
-        return len(self.reports)
+    def add(self, report: VerificationReport) -> None:
+        """Count one report into the totals."""
+        self.cases += 1
+        self.verdict_counts[report.verdict] += 1
+        if report.case.extended:
+            self.extended_cases += 1
+            self.extended_failures += not report.authoritative_passed
+        elif not report.authoritative_passed:
+            self.all_authoritative_pass = False
 
     def tally(self) -> tuple[dict[str, int], int, int, bool]:
-        """(verdict counts, extended cases, extended failures, gate), in one pass.
-
-        The gate holds when every non-extended case matched its
-        authoritative variant.
-        """
-        counts = {VERDICT_PASS: 0, VERDICT_AUDIT: 0, VERDICT_FAIL: 0}
-        extended = extended_failures = 0
-        gate = True
-        for report in self.reports:
-            counts[report.verdict] += 1
-            if report.case.extended:
-                extended += 1
-                extended_failures += not report.authoritative_passed
-            elif gate and not report.authoritative_passed:
-                gate = False
-        return counts, extended, extended_failures, gate
-
-    @property
-    def verdict_counts(self) -> dict[str, int]:
-        return self.tally()[0]
+        """(verdict counts, extended cases, extended failures, gate)."""
+        return (dict(self.verdict_counts), self.extended_cases, self.extended_failures,
+                self.all_authoritative_pass)
 
     @property
     def printed_failures(self) -> list[VerificationReport]:
+        """The kept reports whose printed variant failed."""
         return [r for r in self.reports if r.verdict != VERDICT_PASS]
 
-    @property
-    def extended_cases(self) -> int:
-        return self.tally()[1]
 
-    @property
-    def extended_failures(self) -> int:
-        return self.tally()[2]
-
-    @property
-    def all_authoritative_pass(self) -> bool:
-        """Gate: every non-extended case matched its authoritative variant."""
-        return self.tally()[3]
-
-
-def run_suite(config: GridConfig | None = None, suite: str = "all") -> SuiteResult:
+def run_suite(config: GridConfig | None = None, suite: str = "all",
+              sink: Callable[[VerificationReport], object] | None = None) -> SuiteResult:
     """Evaluate one identity (or all) over the grid, deterministically ordered.
+
+    Each report is counted into the result's totals as it is made.  With a
+    ``sink``, it then goes to ``sink(report)`` and is not kept, so a run
+    holds no report list; without one, it is kept in ``result.reports``.
 
     Extended-domain probes (a negative index, flagged on the case) are
     included for catalan/cassini/docagne but excluded from the
@@ -648,7 +659,7 @@ def run_suite(config: GridConfig | None = None, suite: str = "all") -> SuiteResu
     nmax, rmax = config.nmax, config.rmax
     ev = Evaluator()
     result = SuiteResult(suite=suite)
-    add = result.reports.append
+    tally, emit = result.add, result.reports.append if sink is None else sink
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -659,9 +670,11 @@ def run_suite(config: GridConfig | None = None, suite: str = "all") -> SuiteResu
             for unit in fibs if row.per_pq else contexts:
                 for indices, extended in cases:
                     if extended:
-                        add(verify(unit, *indices, extended=True, ev=ev))
+                        report = verify(unit, *indices, extended=True, ev=ev)
                     else:
-                        add(verify(unit, *indices, ev=ev))
+                        report = verify(unit, *indices, ev=ev)
+                    tally(report)
+                    emit(report)
     finally:  # each miss stored one entry, and each product made read two HJ_n
         _hyb.add(2 * len(ev._prods), len(ev._hybs))
         _prod.add(ev.prod_lookups, len(ev._prods))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -213,6 +214,19 @@ class TestChar:
         _, out, _ = run_cli(capsys, "char", "1/2,0,0,0")
         assert json.loads(out)["character"] == "1/4"
 
+    @pytest.mark.parametrize(
+        "components,magnitude,sign_class",
+        [("1e200,0,0,0", 1e200, "positive"), ("0,0,0,3e200", 3e200, "negative")],
+    )
+    def test_magnitude_of_a_character_past_float_range(
+        self, capsys, components, magnitude, sign_class
+    ):
+        # the character (about 1e400) is no float, its square root is
+        code, out, _ = run_cli(capsys, "char", components)
+        assert code == 0
+        line = json.loads(out)
+        assert (line["norm_value"], line["norm_class"]) == (magnitude, sign_class)
+
     def test_parse_failure(self, capsys):
         code, _, err = run_cli(capsys, "char", "1,2,3")
         assert code == 2 and "error" in err
@@ -225,7 +239,7 @@ class TestArithmeticErrors:
         code, out, err = run_cli(capsys, "char", "1e400,0,0,0")
         assert code == 2
         assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert err == "error: the norm magnitude √|character| is out of float range\n"
 
     def test_closed_form_failure_is_a_verification_error(self, capsys, monkeypatch):
         def broken(ctx, lo, hi):
@@ -318,9 +332,9 @@ class TestVerifyDigitCap:
         huge = HybridNumber(0, 0, 0, 10**DIGIT_CAP)
         variant = report.variants[0]._replace(value=huge)
         report = report._replace(variants=(variant,))
-        cli._check_verify_cap([report], audit=False)
+        cli._printed_values(report, audit=False)
         with pytest.raises(ValueError, match="cassini at indices 2 needs"):
-            cli._check_verify_cap([report], audit=True)
+            cli._printed_values(report, audit=True)
 
     def test_plain_json_prints_no_values(self, capsys, tmp_path):
         grid = tmp_path / "grid.txt"
@@ -473,6 +487,40 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_vacuity_is_decided_before_any_case(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a case ran on a grid with no gated case")
+
+        grid = tmp_path / "grid.txt"
+        grid.write_text("nmax=0\n")
+        monkeypatch.setattr(identities, "cassini", refuse)
+        code, out, err = run_cli(capsys, "verify", "--suite", "cassini", "--grid", str(grid))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: nothing to verify")
+
+    @pytest.mark.parametrize("extra,streams", [((), True), (("--format", "csv"), False),
+                                               (("--audit",), False)])
+    def test_plain_lines_stream_and_value_lines_are_held(self, monkeypatch, extra, streams):
+        # counted, not timed: the lines on stdout each time a case starts
+        out = io.StringIO()
+        lines_at_call = []
+        verifier = identities.cassini
+
+        def watched(*args, **kwargs):
+            lines_at_call.append(out.getvalue().count("\n"))
+            return verifier(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "cassini", watched)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["verify", "--suite", "cassini", *extra]) == 0
+        cases = identities.case_count(identities.DEFAULT_GRID, "cassini")
+        assert len(lines_at_call) == cases
+        if streams:  # the first line is out before the second case runs, and so on
+            assert lines_at_call == list(range(cases))
+        else:  # nothing is out before the last case has run
+            assert lines_at_call == [0] * cases
+        assert out.getvalue().count("\n") == cases + 1
 
     def test_audit_with_csv_is_usage_error(self, capsys):
         code, out, err = run_cli(

@@ -104,11 +104,6 @@ class TestQuadExt:
         assert u + Fraction(1, 2) == QuadExt(Fraction(3, 2), 2, 5)
         assert 1 - u == QuadExt(0, -2, 5)
 
-    def test_json_round_trip(self):
-        u = QuadExt(Fraction(-3, 2), 4, -7)
-        assert u.to_json_dict() == {"x": "-3/2", "y": "4", "D": -7}
-        assert QuadExt.from_json_dict(u.to_json_dict()) == u
-
 
 class TestPow:
     def test_zeroth_power(self):

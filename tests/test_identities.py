@@ -335,6 +335,31 @@ class TestSuite:
         assert flagged <= {"square-difference", "horadam-commutator", "diag-commutator"}
         assert "horadam-commutator" in flagged
 
+    def test_sink_takes_every_report_and_none_is_kept(self):
+        taken = []
+        result = run_suite(SMALL_GRID, sink=taken.append)
+        assert result.reports == []
+        assert len(taken) == result.cases == case_count(SMALL_GRID)
+        assert taken == run_suite(SMALL_GRID).reports
+
+    @pytest.mark.parametrize("grid", [SMALL_GRID, DEFAULT_GRID], ids=["small", "default"])
+    def test_streamed_and_collected_runs_tally_alike(self, grid):
+        streamed = run_suite(grid, sink=lambda report: None)
+        collected = run_suite(grid)
+        assert streamed.tally() == collected.tally()
+        # the running totals against a count over the kept reports
+        counts, extended, extended_failures, gate = collected.tally()
+        reports = collected.reports
+        assert counts == {v: sum(r.verdict == v for r in reports) for v in counts}
+        assert extended == sum(r.case.extended for r in reports)
+        assert extended_failures == sum(r.case.extended and not r.authoritative_passed
+                                        for r in reports)
+        assert gate is all(r.authoritative_passed for r in reports if not r.case.extended)
+        assert streamed.cases == collected.cases == case_count(grid)
+        if grid == DEFAULT_GRID:
+            assert streamed.cases == 17530
+            assert counts == {"pass": 14663, "printed-fails-variant-passes": 2867, "all-fail": 0}
+
 
 class TestGate:
     """Exactly one failing gated case, wherever it falls, fails the gate."""
@@ -376,6 +401,21 @@ class TestGate:
         out, _ = capsys.readouterr()
         assert code == 1
         assert '"all_authoritative_pass":false' in out.splitlines()[-1]
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_streamed_run_tallies_as_a_collected_one(self, monkeypatch, where):
+        cases = case_count(SMALL_GRID, self.SUITE)
+        position = {"first": 0, "middle": cases // 2, "last": cases - 1}[where]
+        verifier = identities.adjacent_commutator
+        runs = []
+        for sink in ([].append, None):
+            monkeypatch.setattr(identities, "adjacent_commutator",
+                                self._failing_at(verifier, position))
+            runs.append(run_suite(SMALL_GRID, self.SUITE, sink=sink))
+        streamed, collected = runs
+        assert streamed.reports == [] and streamed.cases == collected.cases == cases
+        assert streamed.tally() == collected.tally()
+        assert streamed.tally()[3] is False
 
 
 class TestRunState:
@@ -506,7 +546,9 @@ class TestCaseCount:
     def test_count_matches_the_run(self, ps, qs, nmax, rmax, suite):
         config = GridConfig(ps=tuple(ps), qs=tuple(qs), ab=((0, 1), (2, "p"), (1, 1)),
                             nmax=nmax, rmax=rmax)
-        assert case_count(config, suite) == run_suite(config, suite).cases
+        run = run_suite(config, suite, sink=lambda report: None)
+        assert case_count(config, suite) == run.cases
+        assert case_count(config, suite, gated=True) == run.cases - run.extended_cases
 
     def test_default_grid(self):
         assert case_count(DEFAULT_GRID) == 17530
