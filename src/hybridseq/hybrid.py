@@ -84,8 +84,8 @@ class HybridNumber(NamedTuple):
 
         The character can be negative, so the exact quantity of record is
         :meth:`character`; the norm keeps the magnitude and the sign class
-        separately instead of producing a non-real square root.  A magnitude
-        past the float range raises :class:`OverflowError`.
+        separately instead of producing a non-real square root.  A nonzero
+        magnitude past or below the float range raises :class:`OverflowError`.
         """
         c = self.character()
         if c > 0:
@@ -95,10 +95,17 @@ class HybridNumber(NamedTuple):
         else:
             sign_class = "negative"
         size = abs(c)
-        try:  # past 2**1023, √|c| comes from the integer square root (over 500 bits)
-            magnitude = math.sqrt(size) if size < 2**1023 else float(math.isqrt(math.floor(size)))
+        try:
+            if not size or 2**-1022 <= size < 2**1023:
+                magnitude = math.sqrt(size)
+            else:  # ⌊√(size·4ᵏ)⌋/2ᵏ: k = 0 past 2**1023, a root of 100+ bits below 2**-1022
+                num, den = size.numerator, size.denominator
+                k = max(0, (202 + den.bit_length() - num.bit_length()) // 2)
+                magnitude = math.isqrt(num * 4**k // den) / 2**k
         except OverflowError:
             raise OverflowError("the norm magnitude √|character| is out of float range") from None
+        if size and not magnitude:
+            raise OverflowError("the norm magnitude √|character| is below float range")
         return HybridNorm(magnitude, sign_class)
 
     def to_json_dict(self) -> dict:

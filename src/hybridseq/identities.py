@@ -244,7 +244,8 @@ class Evaluator:
 
     :func:`run_suite` makes one and drops it when it returns, and a direct
     verifier call makes its own, so no value outlives the run that computed
-    it and two runs on two threads share no value.
+    it and two runs on two threads share no value.  Only the products grow
+    with the grid, and :func:`run_suite` clears them before each unit.
     """
 
     def __init__(self) -> None:
@@ -252,7 +253,7 @@ class Evaluator:
         self._hybs: dict[tuple, tuple[HybridNumber, int]] = _Memo(partial(_window_pair, self._seqs))
         self._prods: dict[tuple, tuple[HybridNumber, int]] = {}
         self.pq: dict[tuple[int, int], _PQ] = _Memo(_pq)
-        self.prod_lookups = 0
+        self.prod_lookups = self.prod_misses = 0
 
     def scalar(self, params: HoradamParams, n: int) -> int | Fraction:
         return self._seqs[params].value(n)
@@ -261,10 +262,12 @@ class Evaluator:
              pb: HoradamParams, nb: int) -> tuple[HybridNumber, int]:
         """HJ_na·HJ_nb (over pa and pb) as a pair."""
         self.prod_lookups += 1
-        pair = self._prods.get((pa, na, pb, nb))
+        key = pa, na, pb, nb
+        pair = self._prods.get(key)
         if pair is None:
+            self.prod_misses += 1
             (x, dx), (y, dy) = self._hybs[pa, na], self._hybs[pb, nb]
-            pair = self._prods[pa, na, pb, nb] = x * y, dx * dy
+            pair = self._prods[key] = x * y, dx * dy
         return pair
 
 
@@ -645,9 +648,10 @@ def run_suite(config: GridConfig | None = None, suite: str = "all",
     Extended-domain probes (a negative index, flagged on the case) are
     included for catalan/cassini/docagne but excluded from the
     :attr:`SuiteResult.all_authoritative_pass` gate.  One :class:`Evaluator`
-    holds the run's memo state and is dropped on return.  The loop builds
-    only acyclic records, so the cyclic garbage collector is paused while it
-    runs and the caller's setting is restored afterwards.
+    holds the run's memo state and is dropped on return; its products only
+    until the unit (one suite over one parameter set or (p, q)) ends.  The
+    loop builds only acyclic records, so the cyclic garbage collector is
+    paused while it runs and the caller's setting is restored afterwards.
     """
     if config is None:
         config = DEFAULT_GRID
@@ -668,6 +672,7 @@ def run_suite(config: GridConfig | None = None, suite: str = "all",
             verify = globals()[row.verifier]  # by name, so that a rebinding reaches it
             cases = [(indices, min(indices) < 0) for indices in row.indices(nmax, rmax)]
             for unit in fibs if row.per_pq else contexts:
+                ev._prods.clear()
                 for indices, extended in cases:
                     if extended:
                         report = verify(unit, *indices, extended=True, ev=ev)
@@ -675,9 +680,9 @@ def run_suite(config: GridConfig | None = None, suite: str = "all",
                         report = verify(unit, *indices, ev=ev)
                     tally(report)
                     emit(report)
-    finally:  # each miss stored one entry, and each product made read two HJ_n
-        _hyb.add(2 * len(ev._prods), len(ev._hybs))
-        _prod.add(ev.prod_lookups, len(ev._prods))
+    finally:  # each product made read two HJ_n, and each HJ_n is kept
+        _hyb.add(2 * ev.prod_misses, len(ev._hybs))
+        _prod.add(ev.prod_lookups, ev.prod_misses)
         if collecting:
             gc.enable()
     return result

@@ -216,12 +216,14 @@ class TestChar:
 
     @pytest.mark.parametrize(
         "components,magnitude,sign_class",
-        [("1e200,0,0,0", 1e200, "positive"), ("0,0,0,3e200", 3e200, "negative")],
+        [("1e200,0,0,0", 1e200, "positive"), ("0,0,0,3e200", 3e200, "negative"),
+         ("1e-200,0,0,0", 1e-200, "positive"), ("1e-300,0,0,0", 1e-300, "positive"),
+         ("0,0,0,3e-300", 3e-300, "negative")],
     )
     def test_magnitude_of_a_character_past_float_range(
         self, capsys, components, magnitude, sign_class
     ):
-        # the character (about 1e400) is no float, its square root is
+        # the character (about 1e±400 or 1e-600) is no float, its square root is
         code, out, _ = run_cli(capsys, "char", components)
         assert code == 0
         line = json.loads(out)
@@ -240,6 +242,12 @@ class TestArithmeticErrors:
         assert code == 2
         assert out == ""
         assert err == "error: the norm magnitude √|character| is out of float range\n"
+
+    def test_underflow_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "char", "1e-700,0,0,0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the norm magnitude √|character| is below float range\n"
 
     def test_closed_form_failure_is_a_verification_error(self, capsys, monkeypatch):
         def broken(ctx, lo, hi):

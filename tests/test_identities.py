@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridseq import (
+    SUITES,
     GridConfig,
     GridConfigError,
     HoradamParams,
@@ -447,6 +448,47 @@ class TestRunState:
     def test_no_module_level_cache(self):
         assert not [name for name, value in vars(identities).items()
                     if hasattr(value, "cache_clear")]
+
+
+class TestMemoBound:
+    """A run holds one unit's products at a time (one suite over one parameter
+    set or one (p, q)), and its counters count every product it made."""
+
+    @pytest.mark.parametrize("grid", [SMALL_GRID, DEFAULT_GRID], ids=["small", "default"])
+    def test_memo_holds_one_unit_and_counts_each_product(self, monkeypatch, grid):
+        unit = [None]
+        keys: dict[tuple, set] = {}  # (suite, unit) -> the distinct products it asks for
+        largest = made = 0
+
+        def entering(suite, verifier):
+            def verify(first, *args, **kwargs):
+                unit[0] = (suite, id(first))  # the run keeps each unit until it returns
+                return verifier(first, *args, **kwargs)
+            return verify
+
+        for suite in SUITES:
+            name = suite.replace("-", "_")
+            monkeypatch.setattr(identities, name, entering(suite, getattr(identities, name)))
+        prod, mul = identities.Evaluator.prod, HybridNumber.__mul__
+
+        def counted_prod(self, pa, na, pb, nb):
+            nonlocal largest
+            keys.setdefault(unit[0], set()).add((pa, na, pb, nb))
+            pair = prod(self, pa, na, pb, nb)
+            largest = max(largest, len(self._prods))
+            return pair
+
+        def counted_mul(self, other):
+            nonlocal made
+            made += isinstance(other, HybridNumber)
+            return mul(self, other)
+
+        monkeypatch.setattr(identities.Evaluator, "prod", counted_prod)
+        monkeypatch.setattr(HybridNumber, "__mul__", counted_mul)
+        misses = identities._prod.cache_info().misses
+        assert run_suite(grid, sink=lambda report: None).cases == case_count(grid)
+        assert 0 < largest <= max(map(len, keys.values()))
+        assert identities._prod.cache_info().misses - misses == made
 
 
 def _suite_cases(p, q, a, b, k, j):

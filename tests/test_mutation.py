@@ -12,6 +12,10 @@ a row and fails here.
 ``MUTATION_GRID`` (684 cases) gives the same matrix as the default grid
 (17,530 cases) at a small fraction of the cost.
 
+A run holds its product memo for one suite over one parameter set at a
+time, which would hide a memo key that drops the parameter sets from most
+suites; ``MEMO_KILLS`` plants that key and pins the suites that still see it.
+
 The ``binet`` command checks its closed-form walk against one recurrence
 window; ``BINET_KILLS`` plants one bug on each side of that check and pins
 the lines it must report as divergent.
@@ -192,7 +196,7 @@ def test_values_computed_under_a_mutant_do_not_outlive_its_run(monkeypatch):
     assert run_suite(MUTATION_GRID, "catalan").all_authoritative_pass
 
 
-# --- the binet command: closed-form walk against one recurrence window ---
+# --- mutants compiled from a function's source ---
 
 
 def _mutated(fn, old: str, new: str):
@@ -205,6 +209,37 @@ def _mutated(fn, old: str, new: str):
     namespace: dict = {}
     exec(code, fn.__globals__, namespace)
     return namespace[fn.__name__]
+
+
+# --- the product memo: its key must name both parameter sets ---
+
+_MEMO_KEY = "key = pa, na, pb, nb"
+
+# mutant -> (the memo key it plants, and for each suite that fails the gate
+# on MUTATION_GRID its all-fail count on the default grid).  Within one unit
+# of a run, catalan, cassini, docagne and adjacent-commutator read one
+# parameter set and lucas-fib-exchange reads its two in one fixed order, so
+# only the suites with two products that differ in their sets alone fail.
+MEMO_KILLS = {
+    "control: the key as written": (_MEMO_KEY, {}),
+    "products keyed by (na, nb)": ("key = na, nb", {
+        "square-difference": 121, "horadam-commutator": 319, "diag-commutator": 319,
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(MEMO_KILLS))
+def test_memo_key_kill_set(name, monkeypatch):
+    key, all_fail = MEMO_KILLS[name]
+    prod = _mutated(identities.Evaluator.prod, _MEMO_KEY, key)
+    monkeypatch.setattr(identities.Evaluator, "prod", prod)
+    assert failing_suites(MUTATION_GRID) == set(all_fail)
+    for suite, count in all_fail.items():
+        result = run_suite(identities.DEFAULT_GRID, suite, sink=lambda report: None)
+        assert result.verdict_counts[identities.VERDICT_FAIL] == count
+
+
+# --- the binet command: closed-form walk against one recurrence window ---
 
 
 def _seqcache_step_mutant(monkeypatch) -> None:
