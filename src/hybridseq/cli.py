@@ -157,8 +157,12 @@ def cmd_binet(args: argparse.Namespace) -> int:
     divergence = False
     for row, value in zip(_rendered(values, args.start, 4), closed):
         n = row[0]
-        if value != window.hybrid(n):
-            print(_jline({"n": n, "error": "binet/recurrence divergence"}), file=sys.stderr)
+        if value != window.hybrid(n):  # say why: both hybrids, unless over the cap
+            why = {"n": n, "error": "binet/recurrence divergence"}
+            if not any(map(_over_cap, value)):  # the recurrence window is checked
+                why["binet"] = value.to_json_dict()
+            why["recurrence"] = dict(zip(HybridNumber._fields, row[1:]))
+            print(_jline(why), file=sys.stderr)
             divergence = True
             continue
         write(line % row)

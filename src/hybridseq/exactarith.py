@@ -21,8 +21,21 @@ class IrrationalResidueError(ArithmeticError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the wire format ``"num/den"`` (or integer shorthand ``"5"``)."""
-    return Fraction(text.strip())
+    """Parse the wire format ``"num/den"`` (or integer shorthand ``"5"``, or
+    a decimal such as ``"-0.25"`` or ``"1e-200"``), blanks around it allowed.
+
+    The format is what ``Fraction`` reads on Python 3.10 on every version:
+    ``_`` digit separators (read from 3.11 on) and blanks inside, such as
+    around ``/`` (read from 3.12 on), are refused, and so is a zero
+    denominator, each with a message that names the text.
+    """
+    token = text.strip()
+    if "_" in token or any(map(str.isspace, token)):
+        raise ValueError(f"invalid rational {text!r}: no '_' or blank may stand inside it")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"invalid rational {text!r}: zero denominator") from None
 
 
 def format_rational(value: int | Fraction) -> str:

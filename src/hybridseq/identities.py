@@ -1,27 +1,25 @@
 """Grid verification of the hybrid sequence identities, with an audit mode.
 
-Every identity is evaluated through two independent code paths: the left
-side multiplies recurrence-generated hybrid values directly, while the
-right side is assembled only from scalar sequence values and the constant
-hybrids of the :class:`~hybridseq.binet.BinetContext`.  The two sides
-share no intermediate computation beyond hybrid addition and scaling and
-the pair helpers below, so a bug in one path cannot silently validate
-the other.
+Each identity is a table row with two independent sides.  The left side is
+data, the keys of two products of recurrence windows, read only through
+:meth:`Evaluator.prod`.  The right side is a function of scalar sequence
+values (:meth:`Evaluator.scalar`) and constant hybrids (``Evaluator.pq``,
+the :class:`~hybridseq.binet.BinetContext`) alone.  So a bug in one side
+cannot silently validate the other; ``TestIndependence`` in
+``tests/test_identities.py`` enforces this rule on every row.
 
-Both sides are evaluated on integers: a value is a pair (N, den) of a
-hybrid N with ``int`` components and a positive ``int`` den, standing for
-N/den.  The left side multiplies and subtracts numerators; the right side
-folds its scalar factors into one ratio and applies it to the numerators
-of the constant hybrids.  The two pairs meet only in one cross-multiplied
-comparison.  A report keeps the pairs and reduces a value only when it is
-read, so a run that prints only verdicts reduces none.
+Both sides are pairs (N, den) standing for N/den, N a hybrid with ``int``
+components and den a positive ``int``.  The left side multiplies and
+subtracts numerators; the right side folds the scalar factors of each term
+into one ratio and applies it to the numerators of a constant hybrid.  The
+two meet only in one cross-multiplied comparison, and a report reduces a
+value only when it is read.
 
 Three identities are commonly stated with a sign or coefficient slip; for
-those the verifier evaluates the statement as usually typeset (variant
-``printed``) next to the form the underlying derivation actually yields
-(variant ``proof-form`` or ``sign-corrected``).  The corrected variant is
-authoritative: suite success means every authoritative variant matched
-exactly, while ``printed`` outcomes are reported for auditing.
+those the right side gives the form the derivation yields (``proof-form``
+or ``sign-corrected``) next to the typeset one (``printed``).  The
+corrected variant is authoritative: it gates suite success, while
+``printed`` outcomes are only audited.
 """
 
 from __future__ import annotations
@@ -59,43 +57,23 @@ class IdentityCase(NamedTuple):
     extended: bool = False
 
 
-class _VariantFields(NamedTuple):
-    label: str
-    value: HybridNumber | tuple[HybridNumber, int]
-    passed: bool
-    authoritative: bool
-
-
-class VariantResult(_VariantFields):
-    """One right side's outcome; ``value`` is kept as a pair, reduced on read."""
+class VariantResult(namedtuple("VariantResult", "label value passed authoritative")):
+    """One right side's outcome: its label, its value (kept as a pair and
+    reduced on read), whether it matched, and whether it is authoritative."""
 
     __slots__ = ()
     value = property(lambda self: _value(self[1]))
 
 
-class _ReportFields(NamedTuple):
-    case: IdentityCase
-    lhs: HybridNumber | tuple[HybridNumber, int]
-    variants: tuple[VariantResult, ...]
-    verdict: str
-
-
-class VerificationReport(_ReportFields):
-    """One case's verdict; ``lhs`` is kept as a pair, reduced on read."""
+class VerificationReport(namedtuple("VerificationReport", "case lhs variants verdict")):
+    """One case's verdict: its IdentityCase, the left side (kept as a pair,
+    reduced on read) and the variants, ``printed`` first and the
+    authoritative one last (the same one when there is only one)."""
 
     __slots__ = ()
     lhs = property(lambda self: _value(self[1]))
-
-    @property
-    def rhs_printed(self) -> HybridNumber:
-        return next(v.value for v in self.variants if v.label == "printed")
-
-    @property
-    def authoritative_passed(self) -> bool:
-        for variant in self.variants:
-            if variant.authoritative:
-                return variant.passed
-        return False
+    rhs_printed = property(lambda self: self[2][0].value)
+    authoritative_passed = property(lambda self: self[2][-1].passed)
 
 
 # --- values as (integer numerators, positive denominator) pairs ---
@@ -154,23 +132,6 @@ def _lhs(first, second) -> tuple[HybridNumber, int]:
     return _hybrid((x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])), dx
 
 
-def _report(name, params, indices, lhs, printed, corrected=None, label="", extended=False):
-    """The report of one case; corrected, when given, is the authoritative
-    variant and printed is only audited."""
-    ok = _same(lhs, printed)
-    if corrected is None:
-        variants = (VariantResult("printed", printed, ok, True),)
-        verdict = VERDICT_PASS if ok else VERDICT_FAIL
-    else:
-        fixed = _same(lhs, corrected)
-        variants = (
-            VariantResult("printed", printed, ok, False),
-            VariantResult(label, corrected, fixed, True),
-        )
-        verdict = VERDICT_PASS if ok else VERDICT_AUDIT if fixed else VERDICT_FAIL
-    return VerificationReport(IdentityCase(name, params, indices, extended), lhs, variants, verdict)
-
-
 # --- the memo state of one run ---
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses")
@@ -198,21 +159,17 @@ _hyb, _prod = _Lookups(), _Lookups()
 
 def _rhs_consts(p: int, q: int) -> tuple[HybridNumber, HybridNumber, HybridNumber, HybridNumber]:
     """(HL₀ − cross_shift, HF₀ − omega, HL₀ + r-shift, HF₀ + s-shift)."""
-    ctx = make_context(fib_params(p, q))
-    return (
-        ctx.lucas0 - HybridNumber.from_scalar(ctx.cross_shift),
-        ctx.fib0 - ctx.omega,
-        ctx.lucas0 + HybridNumber.from_scalar(ctx.square_lucas_shift),
-        ctx.fib0 + HybridNumber.from_scalar(ctx.square_fib_shift),
-    )
+    ctx, scalar = make_context(fib_params(p, q)), HybridNumber.from_scalar
+    return (ctx.lucas0 - scalar(ctx.cross_shift), ctx.fib0 - ctx.omega,
+            ctx.lucas0 + scalar(ctx.square_lucas_shift), ctx.fib0 + scalar(ctx.square_fib_shift))
 
 
 def _neg_q_pow(q: int, n: int) -> int | Fraction:
     return (-q) ** n if n >= 0 else Fraction(1, (-q) ** -n)
 
 
-# What the cases of one (p, q) share: the Fibonacci and Lucas seeds, and
-# the four _rhs_consts hybrids as pairs.
+# What the cases of one (p, q) share: its Fibonacci and Lucas parameter
+# sets, and the four _rhs_consts hybrids as pairs.
 _PQ = namedtuple("_PQ", "fibs lucs lucas_shifted fib_shifted lucas_sq fib_sq")
 
 
@@ -239,20 +196,19 @@ class _Memo(dict):
 
 
 class Evaluator:
-    """The memo state of one verification run: a ``SeqCache`` per parameter
-    set, HJ_n as (N, den) pairs, their products and the per-(p, q) values.
-
-    :func:`run_suite` makes one and drops it when it returns, and a direct
-    verifier call makes its own, so no value outlives the run that computed
-    it and two runs on two threads share no value.  Only the products grow
-    with the grid, and :func:`run_suite` clears them before each unit.
-    """
+    """The memo state of one verification run: per parameter set J, a ``SeqCache``
+    and (J, F, L) with F, L the Fibonacci and Lucas sets of its (p, q); HJ_n as
+    (N, den) pairs, their products and the per-(p, q) values.  No value outlives
+    the run (or direct verifier call) that made it, so two runs on two threads
+    share none; :func:`run_suite` clears the products, the only part that grows
+    with the grid, before each unit."""
 
     def __init__(self) -> None:
         self._seqs: dict[HoradamParams, SeqCache] = _Memo(SeqCache)
         self._hybs: dict[tuple, tuple[HybridNumber, int]] = _Memo(partial(_window_pair, self._seqs))
         self._prods: dict[tuple, tuple[HybridNumber, int]] = {}
         self.pq: dict[tuple[int, int], _PQ] = _Memo(_pq)
+        self.sets = _Memo(lambda J: (J, fib_params(*J[:2]), lucas_params(*J[:2])))
         self.prod_lookups = self.prod_misses = 0
 
     def scalar(self, params: HoradamParams, n: int) -> int | Fraction:
@@ -271,31 +227,163 @@ class Evaluator:
         return pair
 
 
-# --- the identities ---
-#
-# Each takes the run's Evaluator as ``ev``; a direct call makes its own.
+# --- the right sides: rhs(ev, unit, *indices) -> (printed, corrected or None,
+# label), reading only ev.scalar, ev.pq and the unit (a context, or params) ---
+
+
+def _catalan_rhs(ev, ctx, m, r):
+    pq, q = ev.pq[ctx.params[:2]], ctx.params.q
+    outer = (-ctx.weight_product, _neg_q_pow(q, m), ev.scalar(pq.fibs, -r))
+    return _rhs((pq.lucas_shifted, ev.scalar(pq.fibs, r), *outer),
+                (pq.fib_shifted, q, ev.scalar(pq.lucs, r), *outer)), None, ""
+
+
+def _cassini_rhs(ev, ctx, m):
+    (p, q), pq = ctx.params[:2], ev.pq[ctx.params[:2]]
+    outer = (ctx.weight_product, _neg_q_pow(q, m - 1))
+    rhs = _rhs((pq.lucas_shifted, *outer), (pq.fib_shifted, p * q, *outer))
+    if not _same(rhs, _catalan_rhs(ev, ctx, m, 1)[0]):
+        raise ArithmeticError(f"cassini RHS disagrees with catalan RHS at r=1 for m={m}")
+    return rhs, None, ""
+
+
+def _docagne_rhs(ev, ctx, r, m):
+    pq, q = ev.pq[ctx.params[:2]], ctx.params.q
+    outer = (_neg_q_pow(q, m), ctx.weight_product)
+    return _rhs((pq.lucas_shifted, ev.scalar(pq.fibs, r - m), *outer),
+                (pq.fib_shifted, q, ev.scalar(pq.lucs, r - m), *outer)), None, ""
+
+
+def _adjacent_rhs(ev, ctx, r):
+    pq, q = ev.pq[ctx.params[:2]], ctx.params.q
+    return _rhs((pq.fib_shifted, 2, _neg_q_pow(q, r + 1), ctx.weight_product)), None, ""
+
+
+def _exchange_rhs(ev, params, n, r, s):
+    pq = ev.pq[params[:2]]
+    term = (pq.lucas_shifted, 2, _neg_q_pow(params.q, n + r), ev.scalar(pq.fibs, s - r))
+    return _rhs(term), None, ""
+
+
+def _square_rhs(ev, params, n):
+    pq, disc = ev.pq[params[:2]], params.discriminant
+    f2n = ev.scalar(pq.fibs, 2 * n)
+    lucas_term = (pq.lucas_sq, Fraction(disc - 1, disc), ev.scalar(pq.lucs, 2 * n))
+    cross_term = (pq.lucas_shifted, 2, Fraction(disc + 1, disc), _neg_q_pow(params.q, n))
+    return (_rhs(lucas_term, (pq.fib_sq, f2n), cross_term),
+            _rhs(lucas_term, (pq.fib_sq, disc - 1, f2n), cross_term), "proof-form")
+
+
+def _horadam_rhs(ev, ctx, n, m):
+    J = ctx.params
+    printed = _rhs((ev.pq[J[:2]].fib_shifted, 2, _neg_q_pow(J.q, n + 1), ev.scalar(J, m - n)))
+    return printed, (-printed[0], printed[1]), "proof-form"
+
+
+def _diag_rhs(ev, ctx, n):
+    J = ctx.params
+    printed = _rhs((ev.pq[J[:2]].fib_shifted, 2, J.a, _neg_q_pow(J.q, n + 1)))
+    return printed, (-printed[0], printed[1]), "sign-corrected"
+
+
+# --- the suite table ---
+
+EXTENDED_RANGE = range(-5, 0)
+
+
+def _catalan_indices(n: int, r: int) -> Iterable[tuple[int, int]]:
+    yield from ((m, k) for m in range(n + 1) for k in range(min(m, r) + 1))
+    yield from product(EXTENDED_RANGE, range(min(r, 3) + 1))
+
+
+def _catalan_count(n: int, r: int) -> int:
+    k = min(n, r)  # m in [0, k] has m + 1 cases, m in (k, n] has k + 1
+    return (k + 1) * (k + 2) // 2 + (n - k) * (k + 1)
+
+
+class _Suite(NamedTuple):
+    per_pq: bool  # once per distinct (p, q), else once per parameter set
+    indices: Callable[[int, int], Iterable[tuple[int, ...]]]  # from (nmax, rmax)
+    count: Callable[[int, int], int]  # how many have no negative index, in closed form
+    lhs: Callable[..., tuple[tuple, tuple]]  # (J, F, L, *indices) -> two product keys
+    rhs: Callable[..., tuple]  # a right side, above
+    probes: Callable[[int, int], int] = lambda n, r: 0  # how many have one, in closed form
+    domain: Callable[..., bool] = lambda *indices: True  # not asked of a probe
+    domain_error: str = ""
+
+
+# A case is extended exactly when one of its indices is negative.  In lhs,
+# J is the unit's parameter set, F and L the Fibonacci and Lucas ones.
+_SUITE_TABLE = {
+    "catalan": _Suite(
+        False, _catalan_indices, _catalan_count,
+        lambda J, F, L, m, r: ((J, m, J, m), (J, m + r, J, m - r)), _catalan_rhs,
+        lambda n, r: len(EXTENDED_RANGE) * (min(r, 3) + 1),
+        lambda m, r: m >= r >= 0, "catalan requires m >= r >= 0"),
+    "cassini": _Suite(
+        False, lambda n, r: product(chain(range(1, n + 1), EXTENDED_RANGE)), lambda n, r: n,
+        lambda J, F, L, m: ((J, m, J, m), (J, m + 1, J, m - 1)), _cassini_rhs,
+        lambda n, r: len(EXTENDED_RANGE), lambda m: m >= 1, "cassini requires m >= 1"),
+    "docagne": _Suite(
+        False, lambda n, r: product(range(r + 1), chain(range(n + 1), EXTENDED_RANGE)),
+        lambda n, r: (r + 1) * (n + 1),
+        lambda J, F, L, r, m: ((J, r, J, m + 1), (J, r + 1, J, m)), _docagne_rhs,
+        lambda n, r: (r + 1) * len(EXTENDED_RANGE)),
+    "adjacent-commutator": _Suite(
+        False, lambda n, r: product(range(r + 1)), lambda n, r: r + 1,
+        lambda J, F, L, r: ((J, r + 1, J, r), (J, r, J, r + 1)), _adjacent_rhs,
+        domain=lambda r: r >= 0, domain_error="adjacent commutator requires r >= 0"),
+    "lucas-fib-exchange": _Suite(
+        True, lambda n, r: product(range(n + 1), range(r + 1), range(r + 1)),
+        lambda n, r: (n + 1) * (r + 1) ** 2,
+        lambda J, F, L, n, r, s: ((L, n + r, F, n + s), (L, n + s, F, n + r)), _exchange_rhs),
+    "square-difference": _Suite(
+        True, lambda n, r: product(range(n + 1)), lambda n, r: n + 1,
+        lambda J, F, L, n: ((L, n, L, n), (F, n, F, n)), _square_rhs,
+        domain=lambda n: n >= 0, domain_error="square difference requires n >= 0"),
+    "horadam-commutator": _Suite(
+        False, lambda n, r: combinations_with_replacement(range(n + 1), 2),
+        lambda n, r: (n + 1) * (n + 2) // 2,
+        lambda J, F, L, n, m: ((F, n, J, m), (J, m, F, n)), _horadam_rhs,
+        domain=lambda n, m: m >= n >= 0, domain_error="horadam commutator requires m >= n >= 0"),
+    "diag-commutator": _Suite(
+        False, lambda n, r: product(range(n + 1)), lambda n, r: n + 1,
+        lambda J, F, L, n: ((F, n, J, n), (J, n, F, n)), _diag_rhs,
+        domain=lambda n: n >= 0, domain_error="diag commutator requires n >= 0"),
+}
+
+
+# --- the identities: each runs its row through the one report builder; it
+# takes the run's Evaluator as ``ev``, and a direct call makes its own ---
+
+
+def _build_report(name, unit, indices, ev, extended=False) -> VerificationReport:
+    """One case: domain check, both sides, verdict; a corrected variant is authoritative."""
+    row = _SUITE_TABLE[name]
+    if not (extended or row.domain(*indices)):
+        raise ValueError(row.domain_error)
+    ev = ev or Evaluator()
+    J, F, L = ev.sets[unit if row.per_pq else unit.params]
+    params = F if row.per_pq else J  # a per-(p, q) case reports F
+    first, second = row.lhs(J, F, L, *indices)
+    lhs = _lhs(ev.prod(*first), ev.prod(*second))
+    printed, corrected, label = row.rhs(ev, unit, *indices)
+    ok = _same(lhs, printed)
+    if corrected is None:
+        variants = (VariantResult("printed", printed, ok, True),)
+        verdict = VERDICT_PASS if ok else VERDICT_FAIL
+    else:
+        fixed = _same(lhs, corrected)
+        variants = (VariantResult("printed", printed, ok, False),
+                    VariantResult(label, corrected, fixed, True))
+        verdict = VERDICT_PASS if ok else VERDICT_AUDIT if fixed else VERDICT_FAIL
+    return VerificationReport(IdentityCase(name, params, indices, extended), lhs, variants, verdict)
 
 
 def catalan(ctx: BinetContext, m: int, r: int, *, extended: bool = False,
             ev: Evaluator | None = None) -> VerificationReport:
     """HJ_m² − HJ_{m+r}·HJ_{m−r} against its closed form; domain m ≥ r ≥ 0."""
-    if not extended and not m >= r >= 0:
-        raise ValueError("catalan requires m >= r >= 0")
-    params = ctx.params
-    ev = ev or Evaluator()
-    lhs = _lhs(ev.prod(params, m, params, m), ev.prod(params, m + r, params, m - r))
-    rhs = _catalan_rhs(ctx, m, r, ev)
-    return _report("catalan", params, (m, r), lhs, rhs, extended=extended)
-
-
-def _catalan_rhs(ctx: BinetContext, m: int, r: int, ev: Evaluator) -> tuple[HybridNumber, int]:
-    """Catalan's right side as a pair, from scalars and the constant hybrids."""
-    q = ctx.params.q
-    pq = ev.pq[ctx.params.p, q]
-    fibs = pq.fibs
-    outer = (-ctx.weight_product, _neg_q_pow(q, m), ev.scalar(fibs, -r))
-    return _rhs((pq.lucas_shifted, ev.scalar(fibs, r), *outer),
-                (pq.fib_shifted, q, ev.scalar(pq.lucs, r), *outer))
+    return _build_report("catalan", ctx, (m, r), ev, extended)
 
 
 def cassini(ctx: BinetContext, m: int, *, extended: bool = False,
@@ -306,58 +394,25 @@ def cassini(ctx: BinetContext, m: int, *, extended: bool = False,
     (they differ only by the F_{−1} = 1/q reduction); that consistency is
     asserted on every call.
     """
-    if not extended and m < 1:
-        raise ValueError("cassini requires m >= 1")
-    params = ctx.params
-    p, q = params.p, params.q
-    ev = ev or Evaluator()
-    pq = ev.pq[p, q]
-    lhs = _lhs(ev.prod(params, m, params, m), ev.prod(params, m + 1, params, m - 1))
-    outer = (ctx.weight_product, _neg_q_pow(q, m - 1))
-    rhs = _rhs((pq.lucas_shifted, *outer), (pq.fib_shifted, p * q, *outer))
-    if not _same(rhs, _catalan_rhs(ctx, m, 1, ev)):
-        raise ArithmeticError(f"cassini RHS disagrees with catalan RHS at r=1 for m={m}")
-    return _report("cassini", params, (m,), lhs, rhs, extended=extended)
+    return _build_report("cassini", ctx, (m,), ev, extended)
 
 
 def docagne(ctx: BinetContext, r: int, m: int, *, extended: bool = False,
             ev: Evaluator | None = None) -> VerificationReport:
     """HJ_r·HJ_{m+1} − HJ_{r+1}·HJ_m against its closed form; any integers."""
-    params = ctx.params
-    q = params.q
-    ev = ev or Evaluator()
-    pq = ev.pq[params.p, q]
-    lhs = _lhs(ev.prod(params, r, params, m + 1), ev.prod(params, r + 1, params, m))
-    outer = (_neg_q_pow(q, m), ctx.weight_product)
-    rhs = _rhs((pq.lucas_shifted, ev.scalar(pq.fibs, r - m), *outer),
-               (pq.fib_shifted, q, ev.scalar(pq.lucs, r - m), *outer))
-    return _report("docagne", params, (r, m), lhs, rhs, extended=extended)
+    return _build_report("docagne", ctx, (r, m), ev, extended)
 
 
 def adjacent_commutator(ctx: BinetContext, r: int, *,
                         ev: Evaluator | None = None) -> VerificationReport:
     """HJ_{r+1}·HJ_r − HJ_r·HJ_{r+1} = 2(−q)^{r+1}·A·B·(HF₀ − omega)."""
-    if r < 0:
-        raise ValueError("adjacent commutator requires r >= 0")
-    params = ctx.params
-    q = params.q
-    ev = ev or Evaluator()
-    pq = ev.pq[params.p, q]
-    lhs = _lhs(ev.prod(params, r + 1, params, r), ev.prod(params, r, params, r + 1))
-    rhs = _rhs((pq.fib_shifted, 2, _neg_q_pow(q, r + 1), ctx.weight_product))
-    return _report("adjacent-commutator", params, (r,), lhs, rhs)
+    return _build_report("adjacent-commutator", ctx, (r,), ev)
 
 
 def lucas_fib_exchange(params: HoradamParams, n: int, r: int, s: int, *,
                        ev: Evaluator | None = None) -> VerificationReport:
     """HL_{n+r}·HF_{n+s} − HL_{n+s}·HF_{n+r} = 2(−q)^{n+r}·F_{s−r}·(HL₀ − cross_shift)."""
-    q = params.q
-    ev = ev or Evaluator()
-    pq = ev.pq[params.p, q]
-    fibs, lucs = pq.fibs, pq.lucs
-    lhs = _lhs(ev.prod(lucs, n + r, fibs, n + s), ev.prod(lucs, n + s, fibs, n + r))
-    rhs = _rhs((pq.lucas_shifted, 2, _neg_q_pow(q, n + r), ev.scalar(fibs, s - r)))
-    return _report("lucas-fib-exchange", fibs, (n, r, s), lhs, rhs)
+    return _build_report("lucas-fib-exchange", params, (n, r, s), ev)
 
 
 def square_difference(params: HoradamParams, n: int, *,
@@ -367,20 +422,7 @@ def square_difference(params: HoradamParams, n: int, *,
     The typeset statement carries the F_{2n} term without the (p²+4q−1)
     factor that the derivation produces; both variants are evaluated.
     """
-    if n < 0:
-        raise ValueError("square difference requires n >= 0")
-    q = params.q
-    disc = params.discriminant
-    ev = ev or Evaluator()
-    pq = ev.pq[params.p, q]
-    fibs, lucs = pq.fibs, pq.lucs
-    lhs = _lhs(ev.prod(lucs, n, lucs, n), ev.prod(fibs, n, fibs, n))
-    f2n = ev.scalar(fibs, 2 * n)
-    lucas_term = (pq.lucas_sq, Fraction(disc - 1, disc), ev.scalar(lucs, 2 * n))
-    cross_term = (pq.lucas_shifted, 2, Fraction(disc + 1, disc), _neg_q_pow(q, n))
-    printed = _rhs(lucas_term, (pq.fib_sq, f2n), cross_term)
-    proof_form = _rhs(lucas_term, (pq.fib_sq, disc - 1, f2n), cross_term)
-    return _report("square-difference", fibs, (n,), lhs, printed, proof_form, "proof-form")
+    return _build_report("square-difference", params, (n,), ev)
 
 
 def horadam_commutator(ctx: BinetContext, n: int, m: int, *,
@@ -390,38 +432,16 @@ def horadam_commutator(ctx: BinetContext, n: int, m: int, *,
     The typeset statement reads 2(−q)^{n+1}·J_{m−n}·(HF₀ − omega); the
     derivation yields its negative.  Domain m ≥ n ≥ 0.
     """
-    if not m >= n >= 0:
-        raise ValueError("horadam commutator requires m >= n >= 0")
-    params = ctx.params
-    q = params.q
-    ev = ev or Evaluator()
-    pq = ev.pq[params.p, q]
-    fibs = pq.fibs
-    lhs = _lhs(ev.prod(fibs, n, params, m), ev.prod(params, m, fibs, n))
-    printed = _rhs((pq.fib_shifted, 2, _neg_q_pow(q, n + 1), ev.scalar(params, m - n)))
-    corrected = (-printed[0], printed[1])
-    return _report("horadam-commutator", params, (n, m), lhs, printed, corrected, "proof-form")
+    return _build_report("horadam-commutator", ctx, (n, m), ev)
 
 
 def diag_commutator(ctx: BinetContext, n: int, *,
                     ev: Evaluator | None = None) -> VerificationReport:
     """HF_n·HJ_n − HJ_n·HF_n, printed and sign-corrected right sides."""
-    if n < 0:
-        raise ValueError("diag commutator requires n >= 0")
-    params = ctx.params
-    q = params.q
-    ev = ev or Evaluator()
-    pq = ev.pq[params.p, q]
-    fibs = pq.fibs
-    lhs = _lhs(ev.prod(fibs, n, params, n), ev.prod(params, n, fibs, n))
-    printed = _rhs((pq.fib_shifted, 2, params.a, _neg_q_pow(q, n + 1)))
-    corrected = (-printed[0], printed[1])
-    return _report("diag-commutator", params, (n,), lhs, printed, corrected, "sign-corrected")
+    return _build_report("diag-commutator", ctx, (n,), ev)
 
 
 # --- grid configuration and the suite runner ---
-
-EXTENDED_RANGE = range(-5, 0)
 
 
 class _GridFields(NamedTuple):
@@ -458,10 +478,8 @@ DEFAULT_GRID = GridConfig()
 
 def _parse_grid_token(token: str) -> int | str:
     token = token.strip()
-    if token == "p":
-        return "p"
     try:
-        return int(token)
+        return token if token == "p" else int(token)
     except ValueError as exc:
         raise GridConfigError(f"bad grid value {token!r}") from exc
 
@@ -523,68 +541,10 @@ def parse_grid_file(path: str) -> GridConfig:
 
 def grid_param_sets(config: GridConfig) -> list[HoradamParams]:
     """Resolved, deduplicated parameter sets in deterministic order."""
-    out: list[HoradamParams] = []
-    seen = set()
-    for p in sorted(config.ps):
-        for q in sorted(config.qs):
-            if p * p + 4 * q == 0:
-                continue
-            for a_raw, b_raw in config.ab:
-                a = p if a_raw == "p" else a_raw
-                b = p if b_raw == "p" else b_raw
-                params = HoradamParams(p, q, a, b)
-                if params not in seen:
-                    seen.add(params)
-                    out.append(params)
-    return out
-
-
-def _catalan_indices(n: int, r: int) -> Iterable[tuple[int, int]]:
-    yield from ((m, k) for m in range(n + 1) for k in range(min(m, r) + 1))
-    yield from product(EXTENDED_RANGE, range(min(r, 3) + 1))
-
-
-def _catalan_count(n: int, r: int) -> int:
-    k = min(n, r)  # m in [0, k] has m + 1 cases, m in (k, n] has k + 1
-    return (k + 1) * (k + 2) // 2 + (n - k) * (k + 1)
-
-
-class _Suite(NamedTuple):
-    verifier: str  # its module-level name, looked up when run_suite runs
-    per_pq: bool  # once per distinct (p, q), else once per parameter set
-    indices: Callable[[int, int], Iterable[tuple[int, ...]]]  # from (nmax, rmax)
-    # how many tuples indices gives, in closed form: those with no negative
-    # index (gated), and the extended-domain probes
-    count: Callable[[int, int], int]
-    probes: Callable[[int, int], int] = lambda n, r: 0
-
-
-# A case is extended exactly when one of its indices is negative.
-_SUITE_TABLE = {
-    "catalan": _Suite("catalan", False, _catalan_indices, _catalan_count,
-                      lambda n, r: len(EXTENDED_RANGE) * (min(r, 3) + 1)),
-    "cassini": _Suite("cassini", False,
-                      lambda n, r: product(chain(range(1, n + 1), EXTENDED_RANGE)),
-                      lambda n, r: n, lambda n, r: len(EXTENDED_RANGE)),
-    "docagne": _Suite("docagne", False,
-                      lambda n, r: product(range(r + 1), chain(range(n + 1), EXTENDED_RANGE)),
-                      lambda n, r: (r + 1) * (n + 1), lambda n, r: (r + 1) * len(EXTENDED_RANGE)),
-    "adjacent-commutator": _Suite("adjacent_commutator", False,
-                                  lambda n, r: product(range(r + 1)),
-                                  lambda n, r: r + 1),
-    "lucas-fib-exchange": _Suite("lucas_fib_exchange", True,
-                                 lambda n, r: product(range(n + 1), range(r + 1), range(r + 1)),
-                                 lambda n, r: (n + 1) * (r + 1) ** 2),
-    "square-difference": _Suite("square_difference", True,
-                                lambda n, r: product(range(n + 1)),
-                                lambda n, r: n + 1),
-    "horadam-commutator": _Suite("horadam_commutator", False,
-                                 lambda n, r: combinations_with_replacement(range(n + 1), 2),
-                                 lambda n, r: (n + 1) * (n + 2) // 2),
-    "diag-commutator": _Suite("diag_commutator", False,
-                              lambda n, r: product(range(n + 1)),
-                              lambda n, r: n + 1),
-}
+    return list(dict.fromkeys(
+        HoradamParams(p, q, p if a == "p" else a, p if b == "p" else b)
+        for p in sorted(config.ps) for q in sorted(config.qs) if p * p + 4 * q != 0
+        for a, b in config.ab))
 
 
 def _suite_names(suite: str) -> tuple[str, ...]:
@@ -631,36 +591,30 @@ class SuiteResult:
         return (dict(self.verdict_counts), self.extended_cases, self.extended_failures,
                 self.all_authoritative_pass)
 
-    @property
-    def printed_failures(self) -> list[VerificationReport]:
-        """The kept reports whose printed variant failed."""
-        return [r for r in self.reports if r.verdict != VERDICT_PASS]
+    # the kept reports whose printed variant failed
+    printed_failures = property(lambda self: [r for r in self.reports if r.verdict != VERDICT_PASS])
 
 
 def run_suite(config: GridConfig | None = None, suite: str = "all",
               sink: Callable[[VerificationReport], object] | None = None) -> SuiteResult:
     """Evaluate one identity (or all) over the grid, deterministically ordered.
 
-    Each report is counted into the result's totals as it is made.  With a
-    ``sink``, it then goes to ``sink(report)`` and is not kept, so a run
-    holds no report list; without one, it is kept in ``result.reports``.
-
-    Extended-domain probes (a negative index, flagged on the case) are
-    included for catalan/cassini/docagne but excluded from the
+    Each report is counted into the result's totals as it is made, then
+    handed to ``sink`` if one is given (and not kept) or kept in
+    ``result.reports``.  Extended-domain probes (a negative index, flagged
+    on the case; catalan, cassini and docagne have them) are left out of the
     :attr:`SuiteResult.all_authoritative_pass` gate.  One :class:`Evaluator`
-    holds the run's memo state and is dropped on return; its products only
-    until the unit (one suite over one parameter set or (p, q)) ends.  The
-    loop builds only acyclic records, so the cyclic garbage collector is
-    paused while it runs and the caller's setting is restored afterwards.
+    holds the run's memo state, its products only for one unit (one suite
+    over one parameter set or (p, q)).  The loop builds only acyclic
+    records, so the cyclic collector is paused while it runs and the
+    caller's setting is restored afterwards.
     """
-    if config is None:
-        config = DEFAULT_GRID
+    config = DEFAULT_GRID if config is None else config
     names = _suite_names(suite)
     param_sets = grid_param_sets(config)
     fibs = [fib_params(*pair) for pair in dict.fromkeys((ps.p, ps.q) for ps in param_sets)]
     per_params = not all(_SUITE_TABLE[name].per_pq for name in names)
     contexts = [make_context(params) for params in param_sets] if per_params else []
-    nmax, rmax = config.nmax, config.rmax
     ev = Evaluator()
     result = SuiteResult(suite=suite)
     tally, emit = result.add, result.reports.append if sink is None else sink
@@ -669,15 +623,13 @@ def run_suite(config: GridConfig | None = None, suite: str = "all",
     try:
         for name in names:
             row = _SUITE_TABLE[name]
-            verify = globals()[row.verifier]  # by name, so that a rebinding reaches it
-            cases = [(indices, min(indices) < 0) for indices in row.indices(nmax, rmax)]
+            verify = globals()[name.replace("-", "_")]  # so that a rebinding reaches it
+            cases = [(idx, min(idx) < 0) for idx in row.indices(config.nmax, config.rmax)]
             for unit in fibs if row.per_pq else contexts:
                 ev._prods.clear()
                 for indices, extended in cases:
-                    if extended:
-                        report = verify(unit, *indices, extended=True, ev=ev)
-                    else:
-                        report = verify(unit, *indices, ev=ev)
+                    report = (verify(unit, *indices, extended=True, ev=ev) if extended
+                              else verify(unit, *indices, ev=ev))
                     tally(report)
                     emit(report)
     finally:  # each product made read two HJ_n, and each HJ_n is kept

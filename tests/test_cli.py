@@ -159,11 +159,36 @@ class TestBinet:
             capsys, "binet", "--p", "2", "--q", "-3", "--from", "-20", "--to", "60"
         )
         assert code == 1
-        assert [json.loads(line) for line in err.splitlines()] == [
-            {"n": 37, "error": "binet/recurrence divergence"}
-        ]
+        # the line says why: the closed form and the recurrence, in wire format
+        params = sequences.HoradamParams(2, -3, 0, 1)
+        recurrence = HybridNumber(*(sequences.horadam(params, k) for k in range(37, 41)))
+        assert [json.loads(line) for line in err.splitlines()] == [{
+            "n": 37, "error": "binet/recurrence divergence",
+            "binet": (recurrence + HybridNumber(0, 0, 1, 0)).to_json_dict(),
+            "recurrence": recurrence.to_json_dict(),
+        }]
         assert [json.loads(line)["n"] for line in out.splitlines()] == [
             n for n in range(-20, 61) if n != 37
+        ]
+
+    def test_divergent_value_over_the_cap_is_left_out(self, capsys, monkeypatch):
+        closed_form = binet.binet_window
+        huge = 10**DIGIT_CAP  # one digit over the cap: rendering it would fail
+
+        def perturbed(ctx, lo, hi):
+            return [z + HybridNumber(0, huge, 0, 0) if n == 5 else z
+                    for n, z in enumerate(closed_form(ctx, lo, hi), lo)]
+
+        monkeypatch.setattr(binet, "binet_window", perturbed)
+        code, out, err = run_cli(capsys, "binet", "--p", "1", "--q", "1", "--to", "9")
+        assert code == 1
+        recurrence = HybridNumber(*(sequences.fib(1, 1, k) for k in range(5, 9)))
+        assert [json.loads(line) for line in err.splitlines()] == [{
+            "n": 5, "error": "binet/recurrence divergence",
+            "recurrence": recurrence.to_json_dict(),
+        }]
+        assert [json.loads(line)["n"] for line in out.splitlines()] == [
+            n for n in range(10) if n != 5
         ]
 
     def test_one_recurrence_window_per_run(self, capsys, monkeypatch):
@@ -234,6 +259,23 @@ class TestChar:
         assert code == 2 and "error" in err
         code, _, err = run_cli(capsys, "char", "a,b,c,d")
         assert code == 2
+
+    @pytest.mark.parametrize("components,message", [
+        # Fraction reads "1_0" as 10 from Python 3.11 on and "1 / 2" as 1/2
+        # from 3.12 on; the wire format takes neither, on any version
+        ("1_0,2,3,4", "invalid rational '1_0': no '_' or blank may stand inside it"),
+        ("1,2,3/4_0,4", "invalid rational '3/4_0': no '_' or blank may stand inside it"),
+        ("1 / 2,0,0,0", "invalid rational '1 / 2': no '_' or blank may stand inside it"),
+        ("1/0,0,0,0", "invalid rational '1/0': zero denominator"),
+        ("0, 0/0 ,0,0", "invalid rational ' 0/0 ': zero denominator"),
+    ])
+    def test_wire_format_errors_name_the_component(self, capsys, components, message):
+        code, out, err = run_cli(capsys, "char", components)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_blanks_around_a_component_are_allowed(self, capsys):
+        _, out, _ = run_cli(capsys, "char", " 1 ,2, 3 ,4")
+        assert json.loads(out)["character"] == "-23"
 
 
 class TestArithmeticErrors:

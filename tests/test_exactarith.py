@@ -43,6 +43,22 @@ class TestRationalWireFormat:
         with pytest.raises(ValueError):
             parse_rational("one half")
 
+    @pytest.mark.parametrize("text", ["1_0", "1_000/3", "1/2_0", "1.0_5", "1e1_0", "1 / 2", "1/ 2",
+                                      "- 1"])
+    def test_parse_refuses_what_only_some_versions_read(self, text):
+        # Fraction reads "_" separators from Python 3.11 on and blanks around
+        # "/" from 3.12 on; the wire format is the same on every version
+        with pytest.raises(ValueError, match="no '_' or blank may stand inside it"):
+            parse_rational(text)
+
+    def test_parse_names_a_zero_denominator(self):
+        with pytest.raises(ValueError, match=r"invalid rational ' 3/0': zero denominator"):
+            parse_rational(" 3/0")
+
+    def test_parse_keeps_the_other_forms(self):
+        assert [parse_rational(t) for t in (" -7/2 ", "+3", ".5", "5.", "1e-3", "2E2")] == [
+            Fraction(-7, 2), 3, Fraction(1, 2), 5, Fraction(1, 1000), 200]
+
     @given(rationals)
     def test_round_trip(self, value):
         assert parse_rational(format_rational(value)) == value

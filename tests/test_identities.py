@@ -491,6 +491,65 @@ class TestMemoBound:
         assert identities._prod.cache_info().misses - misses == made
 
 
+class _Refused(dict):
+    """An Evaluator memo that a side must not read."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"read {key!r} from a memo this side must not use")
+
+
+class _RightSideEvaluator(identities.Evaluator):
+    """For a right side: no product, nor the HJ_n pairs products are made of."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._hybs = self._prods = _Refused()
+
+    def prod(self, *key):
+        raise AssertionError(f"a right side asked for the product {key!r}")
+
+
+class _LeftSideEvaluator(identities.Evaluator):
+    """For a left side: no scalar sequence value and no per-(p, q) constant."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pq = _Refused()
+
+    def scalar(self, params, n):
+        raise AssertionError(f"a left side asked for the scalar {n} of {params!r}")
+
+
+class TestIndependence:
+    """The two sides of every identity are computed by independent code: each
+    row's right side runs without products and its left side without
+    scalars or constants, and what the verifier reports is those two."""
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_each_side_reads_only_its_own_values(self, suite):
+        row = identities._SUITE_TABLE[suite]
+        verify = getattr(identities, suite.replace("-", "_"))
+        param_sets = grid_param_sets(SMALL_GRID)
+        units = (list(dict.fromkeys(fib_params(ps.p, ps.q) for ps in param_sets)) if row.per_pq
+                 else [make_context(params) for params in param_sets])
+        left, right, both = _LeftSideEvaluator(), _RightSideEvaluator(), identities.Evaluator()
+        checked = 0
+        for unit in units:
+            sets = left.sets[unit if row.per_pq else unit.params]  # (J, F, L)
+            for indices in row.indices(SMALL_GRID.nmax, SMALL_GRID.rmax):
+                first, second = row.lhs(*sets, *indices)
+                lhs = identities._lhs(left.prod(*first), left.prod(*second))
+                printed, corrected, label = row.rhs(right, unit, *indices)
+                probe = {"extended": True} if min(indices) < 0 else {}
+                report = verify(unit, *indices, **probe, ev=both)
+                assert report.lhs == identities._value(lhs), report.case
+                sides = [printed] if corrected is None else [printed, corrected]
+                assert [v.value for v in report.variants] == list(map(identities._value, sides))
+                assert report.variants[-1].label == ("printed" if corrected is None else label)
+                checked += 1
+        assert checked == case_count(SMALL_GRID, suite)
+
+
 def _suite_cases(p, q, a, b, k, j):
     """(report, Σ ± products) for every suite at one random point.
 

@@ -16,9 +16,13 @@ A run holds its product memo for one suite over one parameter set at a
 time, which would hide a memo key that drops the parameter sets from most
 suites; ``MEMO_KILLS`` plants that key and pins the suites that still see it.
 
+Every suite runs through one report builder and counts its cases from its
+row's closed forms; ``SHARED_PATH_KILLS`` plants one bug in each and pins
+the suites whose gate or case count it breaks.
+
 The ``binet`` command checks its closed-form walk against one recurrence
 window; ``BINET_KILLS`` plants one bug on each side of that check and pins
-the lines it must report as divergent.
+the lines it must report as divergent, with both values.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ import textwrap
 import pytest
 
 from hybridseq import (
-    SUITES, GridConfig, HybridNumber, binet, cli, fib_params, identities, run_suite, sequences,
+    SUITES, GridConfig, HoradamParams, HybridNumber, binet, cli, fib_params, identities, run_suite,
+    sequences,
 )
 
 from helpers import rand_hybrid
@@ -239,6 +244,56 @@ def test_memo_key_kill_set(name, monkeypatch):
         assert result.verdict_counts[identities.VERDICT_FAIL] == count
 
 
+# --- the shared path: the one report builder and the rows' case counts ---
+
+
+def _count_mismatches(grid: GridConfig) -> set[str]:
+    """Suites whose closed-form case counts (all, and gated) differ from the
+    cases a run evaluates on the grid."""
+    mismatched = set()
+    for suite in SUITES:
+        run = run_suite(grid, suite, sink=lambda report: None)
+        counts = identities.case_count(grid, suite), identities.case_count(grid, suite, gated=True)
+        if counts != (run.cases, run.cases - run.extended_cases):
+            mismatched.add(suite)
+    return mismatched
+
+
+def _builder_drops_corrected(monkeypatch) -> None:
+    """The report builder drops every corrected variant, so printed is authoritative."""
+    build = _mutated(identities._build_report,
+                     "printed, corrected, label = row.rhs(ev, unit, *indices)",
+                     "(printed, _, label), corrected = row.rhs(ev, unit, *indices), None")
+    monkeypatch.setattr(identities, "_build_report", build)
+
+
+def _catalan_count_plus_one(monkeypatch) -> None:
+    """Catalan's closed-form gated count, one too many on every parameter set."""
+    count = _mutated(identities._catalan_count, "(n - k) * (k + 1)", "(n - k) * (k + 1) + 1")
+    row = identities._SUITE_TABLE["catalan"]
+    monkeypatch.setitem(identities._SUITE_TABLE, "catalan", row._replace(count=count))
+
+
+# mutant -> (the suites whose gate fails on MUTATION_GRID, and the suites whose
+# case counts disagree with their run there)
+SHARED_PATH_KILLS = {
+    "control: the code as written": (lambda monkeypatch: None, set(), set()),
+    "report builder drops the corrected variant": (
+        _builder_drops_corrected,
+        {"square-difference", "horadam-commutator", "diag-commutator"}, set(),
+    ),
+    "catalan count +1": (_catalan_count_plus_one, set(), {"catalan"}),
+}
+
+
+@pytest.mark.parametrize("name", list(SHARED_PATH_KILLS))
+def test_shared_path_kill_set(name, monkeypatch):
+    install, gate_fails, count_fails = SHARED_PATH_KILLS[name]
+    install(monkeypatch)
+    assert failing_suites(MUTATION_GRID) == gate_fails
+    assert _count_mismatches(MUTATION_GRID) == count_fails
+
+
 # --- the binet command: closed-form walk against one recurrence window ---
 
 
@@ -256,24 +311,36 @@ def _walk_step_mutant(monkeypatch) -> None:
 
 
 BINET_ARGV = ["binet", "--p", "2", "--q", "-3", "--from", "-20", "--to", "60"]
+BINET_PARAMS = HoradamParams(2, -3, 0, 1)
 
-# mutant -> the lines n whose window X_n … X_{n+3} holds a wrong value
+# mutant -> (the lines n whose window X_n … X_{n+3} holds a wrong value, and
+# the side of the check the bug is planted in)
 BINET_KILLS = {
-    "SeqCache forward step +1 into X_30": (_seqcache_step_mutant, range(27, 61)),
-    "walk step X + p·Y + 1": (_walk_step_mutant, range(-20, 61)),
+    "SeqCache forward step +1 into X_30": (_seqcache_step_mutant, range(27, 61), "recurrence"),
+    "walk step X + p·Y + 1": (_walk_step_mutant, range(-20, 61), "binet"),
 }
 
 
 @pytest.mark.parametrize("name", list(BINET_KILLS))
 def test_binet_divergence_names_every_affected_line(name, monkeypatch, capsys):
-    install, affected = BINET_KILLS[name]
+    install, affected, planted = BINET_KILLS[name]
     install(monkeypatch)
     code = cli.main(BINET_ARGV)
     out, err = capsys.readouterr()
     assert code == 1
-    assert [json.loads(line) for line in err.splitlines()] == [
-        {"n": n, "error": "binet/recurrence divergence"} for n in affected
-    ]
+    # each line shows both sides as the mutant computes them; the side without
+    # the bug is the exact value, by companion-matrix powering
+    closed = binet.binet_window(binet.make_context(BINET_PARAMS), -20, 60)
+    window = sequences.SeqCache(BINET_PARAMS).window(-20, 63)  # as the command fills it
+    expected = []
+    for n in affected:
+        sides = {"binet": closed[n + 20], "recurrence": HybridNumber(*window[n + 20 : n + 24])}
+        exact = HybridNumber(*(sequences.horadam(BINET_PARAMS, k) for k in range(n, n + 4)))
+        clean = "binet" if planted == "recurrence" else "recurrence"
+        assert sides[clean] == exact != sides[planted]
+        expected.append({"n": n, "error": "binet/recurrence divergence",
+                         **{side: sides[side].to_json_dict() for side in ("binet", "recurrence")}})
+    assert [json.loads(line) for line in err.splitlines()] == expected
     assert [json.loads(line)["n"] for line in out.splitlines()] == [
         n for n in range(-20, 61) if n not in affected
     ]
