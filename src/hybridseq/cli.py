@@ -33,6 +33,9 @@ _CAP_BITS = _CAP_POW.bit_length()
 # Work budgets, counted before any work; each is about 10 s at the limit.
 CASE_BUDGET = 250_000  # verify: cases on the grid for the chosen suite
 TERM_CAP = 5_000  # expand: last series index
+# Characters per stdout write of a window or of held lines (all ASCII), so
+# that a long window is a few system calls even when stdout is unbuffered.
+BLOCK = 1 << 16
 
 # One fixed template per output line; every field is an int or a rational
 # string of digits, "-" and "/", so no JSON escaping is ever needed.
@@ -64,6 +67,31 @@ _VERIFY_CSV = (
     "identity,p,q,a,b,indices,extended,verdict,lhs_s,lhs_i,lhs_e,lhs_h\n",
     "%s,%d,%d,%d,%d,%s,%s,%s,%s,%s,%s,%s\n",
 )
+
+
+class _Blocks:
+    """Lines for stdout, written in blocks of BLOCK characters (the last
+    one shorter), one ``write`` call per block."""
+
+    def __init__(self) -> None:
+        self.write = sys.stdout.write
+        self.lines: list[str] = []
+        self.size = 0
+
+    def __call__(self, line: str) -> None:
+        self.lines.append(line)
+        self.size += len(line)
+        if self.size >= BLOCK:
+            text = "".join(self.lines)
+            cut = len(text) - len(text) % BLOCK
+            for k in range(0, cut, BLOCK):
+                self.write(text[k : k + BLOCK])
+            self.lines, self.size = [text[cut:]], len(text) - cut
+
+    def flush(self) -> None:
+        if self.size:
+            self.write("".join(self.lines))
+        self.lines, self.size = [], 0
 
 
 def _jline(obj: dict) -> str:
@@ -134,10 +162,11 @@ def cmd_seq(args: argparse.Namespace) -> int:
     cache = sequences.SeqCache(sequences.resolve_params(params, args.seq))
     values = _window(cache, args.start, args.stop, width)
     header, line = _SEQ_LINES[args.kind, args.format]
-    write = sys.stdout.write
-    write(header)
+    out = _Blocks()
+    out(header)
     for row in _rendered(values, args.start, width):
-        write(line % row)
+        out(line % row)
+    out.flush()
     return 0
 
 
@@ -152,8 +181,8 @@ def cmd_binet(args: argparse.Namespace) -> int:
     values = _window(window, args.start, args.stop, 4)
     closed = binet.binet_window(binet.make_context(resolved), args.start, args.stop)
     header, line = _BINET_LINES[args.format]
-    write = sys.stdout.write
-    write(header)
+    out = _Blocks()
+    out(header)
     divergence = False
     for row, value in zip(_rendered(values, args.start, 4), closed):
         n = row[0]
@@ -162,10 +191,12 @@ def cmd_binet(args: argparse.Namespace) -> int:
             if not any(map(_over_cap, value)):  # the recurrence window is checked
                 why["binet"] = value.to_json_dict()
             why["recurrence"] = dict(zip(HybridNumber._fields, row[1:]))
+            out.flush()  # the lines before it go out first
             print(_jline(why), file=sys.stderr)
             divergence = True
             continue
-        write(line % row)
+        out(line % row)
+    out.flush()
     return VERIFY_ERROR if divergence else 0
 
 
@@ -200,10 +231,11 @@ def cmd_expand(args: argparse.Namespace) -> int:
         if any(map(_over_cap, coeff)):
             raise _cap_error(f"r={r}")
     header, line = _EXPAND_LINES[args.format]
-    write = sys.stdout.write
-    write(header)
+    out = _Blocks()
+    out(header)
     for r, (coeff, match) in enumerate(zip(coeffs, report.matches)):
-        write(line % (r, *map(format_rational, coeff), "true" if match else "false"))
+        out(line % (r, *map(format_rational, coeff), "true" if match else "false"))
+    out.flush()
     return 0 if report.ok else VERIFY_ERROR
 
 
@@ -260,20 +292,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"nothing to verify: suite {args.suite!r} has no gated case on this grid "
             f"({cases} cases, all extended-domain probes)"
         )
-    write = sys.stdout.write
     held: list[str] = []
     if args.format == "json" and not args.audit:  # verdicts only: each line goes out at once
-        emit, render = write, _plain_line
+        emit, render = sys.stdout.write, _plain_line
     else:  # lines with values are held to the end, so an over-cap value stops the run first
         emit, render = held.append, _csv_line if args.format == "csv" else _audit_line
     result = identities.run_suite(config, args.suite, sink=lambda report: emit(render(report)))
+    out = _Blocks()
     if args.format == "csv":
-        write(_VERIFY_CSV[0])
-    sys.stdout.writelines(held)
+        out(_VERIFY_CSV[0])
+    for text in held:
+        out(text)
     counts, extended, extended_failures, gate = result.tally()
     if args.format == "json":
-        write(_VERIFY_SUMMARY % (result.suite, result.cases, *counts.values(), extended,
-                                 extended_failures, "true" if gate else "false"))
+        out(_VERIFY_SUMMARY % (result.suite, result.cases, *counts.values(), extended,
+                               extended_failures, "true" if gate else "false"))
+    out.flush()
     return 0 if gate else VERIFY_ERROR
 
 

@@ -100,8 +100,13 @@ class HybridNumber(NamedTuple):
                 magnitude = math.sqrt(size)
             else:  # ⌊√(size·4ᵏ)⌋/2ᵏ: k = 0 past 2**1023, a root of 100+ bits below 2**-1022
                 num, den = size.numerator, size.denominator
-                k = max(0, (202 + den.bit_length() - num.bit_length()) // 2)
-                magnitude = math.isqrt(num * 4**k // den) / 2**k
+                # 2**(excess−1) ≤ size < 2**(excess+1), known before any root is taken
+                excess = num.bit_length() - den.bit_length()
+                if excess > 2048:  # size ≥ 2**2048: the root is past every float
+                    raise OverflowError
+                k = max(0, (202 - excess) // 2)
+                # size < 2**-2150: the root is below half the least float and rounds to 0
+                magnitude = 0.0 if excess < -2150 else math.isqrt(num * 4**k // den) / 2**k
         except OverflowError:
             raise OverflowError("the norm magnitude √|character| is out of float range") from None
         if size and not magnitude:

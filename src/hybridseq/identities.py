@@ -508,6 +508,12 @@ def parse_grid_text(text: str) -> GridConfig:
         if key in seen:
             raise GridConfigError(f"line {lineno}: grid key {key!r} is given twice")
         seen.add(key)
+        # int() reads "1_0" as 10; like parse_rational, the grid format does not
+        bad = [item.strip() for item in value.replace(":", ",").split(",") if "_" in item]
+        if bad and key in ("p", "q", "ab", "nmax", "rmax"):
+            raise GridConfigError(
+                f"line {lineno}: invalid {key} value {bad[0]!r}: no '_' may stand inside it"
+            )
         items = [item for item in value.split(",") if item.strip()]
         if not items and key in ("p", "q", "ab"):
             raise GridConfigError(f"line {lineno}: grid key {key!r} has no values")

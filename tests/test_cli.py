@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -386,6 +388,13 @@ class TestVerifyDigitCap:
         with pytest.raises(ValueError, match="cassini at indices 2 needs"):
             cli._printed_values(report, audit=True)
 
+    def test_underscore_in_a_grid_integer_is_one_error_line(self, capsys, tmp_path):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("p=1\nq=1\nnmax=1_0\n")
+        code, out, err = run_cli(capsys, "verify", "--grid", str(grid))
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: invalid nmax value '1_0': no '_' may stand inside it\n"
+
     def test_plain_json_prints_no_values(self, capsys, tmp_path):
         grid = tmp_path / "grid.txt"
         grid.write_text(self.GRID)
@@ -622,3 +631,87 @@ class TestEntryPoint:
             [sys.executable, "-m", "hybridseq"], capture_output=True, text=True
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        "table",
+        "seq --p 1 --q 1 --to 300",
+        "binet --p 2 --q -3 --from -20 --to 60 --format csv",
+        "char 1/2,3,-4,5",
+        "expand --p 1 --q 1 --terms 40",
+        "verify --suite cassini",
+        "seq --p 1 --q 1 --from 20570 --to 20600 --kind scalar",  # over the cap: exit 2
+        "seq --p x --q 1",  # an argparse error: usage and exit 2
+    ])
+    def test_same_streams_as_in_process_main(self, capsys, argv):
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:  # argparse's own exit
+            code = exc.code
+        # the heap is frozen only by the module entry point, never by main
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+        captured = capsys.readouterr()
+        for unbuffered in ("1", None):  # blocks give the same bytes either way
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = unbuffered
+            proc = subprocess.run(
+                [sys.executable, "-m", "hybridseq", *argv.split()],
+                capture_output=True, env=env,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                code, captured.out.encode(), captured.err.encode()
+            )
+
+
+class _CountingStdout(io.StringIO):
+    """A stream that records the length of each write call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+class TestBlockWrites:
+    """Windows and held verify lines go out in blocks: counted, not timed."""
+
+    @pytest.mark.parametrize("argv,lines", [
+        ("seq --p 1 --q 1 --to 5000", 5001),
+        ("binet --p 1 --q 1 --to 2000", 2001),
+        ("expand --p 1 --q 1 --terms 600", 601),
+        ("verify --format csv", 17531),
+        ("verify --suite docagne --audit", 4481),
+    ])
+    def test_one_write_per_block(self, monkeypatch, argv, lines):
+        out = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv.split()) == 0
+        text = out.getvalue()
+        size = len(text.encode())
+        assert text.count("\n") == lines and size > 2 * cli.BLOCK
+        assert len(out.writes) <= -(-size // cli.BLOCK) + 1
+        assert max(out.writes) <= cli.BLOCK
+
+    def test_binet_divergence_line_follows_the_lines_before_it(self, monkeypatch):
+        closed_form = binet.binet_window
+        bad = 1500
+
+        def perturbed(ctx, lo, hi):
+            return [z + HybridNumber(0, 0, 1, 0) if n == bad else z
+                    for n, z in enumerate(closed_form(ctx, lo, hi), lo)]
+
+        monkeypatch.setattr(binet, "binet_window", perturbed)
+        shared = io.StringIO()  # stdout and stderr in one buffer
+        monkeypatch.setattr(sys, "stdout", shared)
+        monkeypatch.setattr(sys, "stderr", shared)
+        assert main(["binet", "--p", "1", "--q", "1", "--to", "2000"]) == 1
+        text = shared.getvalue()
+        assert text.index('"error"') > cli.BLOCK  # more than a block of lines before it
+        lines = [json.loads(line) for line in text.splitlines()]
+        assert [(line["n"], "error" in line) for line in lines] == [
+            (n, n == bad) for n in range(2001)
+        ]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -145,6 +147,28 @@ class TestNorm:
     def test_negative(self):
         norm = H.norm()
         assert norm.value == 1.0 and norm.sign_class == "negative"
+
+
+    @pytest.mark.parametrize("s,value,roots", [
+        (2**1024 - 2**971, sys.float_info.max, 1),  # the greatest float
+        (2**1024 - 2**970, "out of", 1),  # its root rounds past it
+        (2**1024, "out of", 1),  # the character's bits allow 2**2047
+        (3 * 2**1023, "out of", 0),  # its bits say past 2**2048: no root taken
+        (Fraction(1, 2**1074), 5e-324, 1),  # the least float
+        (Fraction(1, 2**1075), "below", 1),  # half of it rounds to 0
+        (Fraction(1, 3 * 2**1074), "below", 0),  # its bits say below 2**-2150
+    ], ids=["max", "past-max", "2**2048", "bits-past", "least", "half-least", "bits-below"])
+    def test_float_range_edges(self, monkeypatch, s, value, roots):
+        calls = []
+        isqrt = math.isqrt
+        monkeypatch.setattr(math, "isqrt", lambda n: calls.append(n) or isqrt(n))
+        z = HybridNumber(s, 0, 0, 0)
+        if isinstance(value, float):
+            assert z.norm() == (value, "positive")
+        else:
+            with pytest.raises(OverflowError, match=f"is {value} float range"):
+                z.norm()
+        assert len(calls) == roots
 
 
 class TestCommutator:

@@ -290,6 +290,19 @@ class TestGridConfig:
         with pytest.raises(GridConfigError, match=f"line {lineno}: .* has no values"):
             parse_grid_text(text)
 
+    @pytest.mark.parametrize("text,where", [
+        ("p=1,1_0\n", "line 1: invalid p value '1_0'"),
+        ("p=1\nq=-1_0\n", "line 2: invalid q value '-1_0'"),
+        ("ab=0:1,2:1_0\n", "line 1: invalid ab value '1_0'"),
+        ("nmax=1_0\np=1_0\n", "line 1: invalid nmax value '1_0'"),
+        ("p=1\n\nrmax= 6_ \n", "line 3: invalid rmax value '6_'"),
+    ])
+    def test_underscore_in_an_integer_rejected(self, text, where):
+        # int() reads "1_0" as 10 on every Python; the grid format does not
+        with pytest.raises(GridConfigError) as exc:
+            parse_grid_text(text)
+        assert str(exc.value) == f"{where}: no '_' may stand inside it"
+
     def test_repeated_key_rejected(self):
         with pytest.raises(GridConfigError, match="line 3: grid key 'p' is given twice"):
             parse_grid_text("p=1\nq=1\np=2\n")
