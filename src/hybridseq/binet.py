@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .exactarith import QuadExt, _rational, roots
 from .hybrid import HybridNumber
-from .sequences import HoradamParams, fib, hybrid_seq
+from .sequences import HoradamParams, SeqCache, fib_params, lucas_params
 
 
 class LemmaMismatchError(ArithmeticError):
@@ -61,7 +61,7 @@ def make_context(params: HoradamParams) -> BinetContext:
     alpha, beta = roots(p, q)
     alpha_hybrid = HybridNumber(QuadExt(1, 0, alpha.d), alpha, alpha**2, alpha**3)
     beta_hybrid = HybridNumber(QuadExt(1, 0, beta.d), beta, beta**2, beta**3)
-    f = [fib(p, q, n) for n in range(7)]
+    f = SeqCache(fib_params(p, q)).window(0, 6)
     fib_sum = f[6] + 2 * f[3] - f[2]
     return BinetContext(
         params=params,
@@ -77,8 +77,8 @@ def make_context(params: HoradamParams) -> BinetContext:
         omega=HybridNumber(0, 1 - p, -q, p * p + q + 1),
         square_lucas_shift=-1 + Fraction(p, 2) * fib_sum + q * (f[5] + 2 * f[2] - f[1]),
         square_fib_shift=Fraction(1, 2) * fib_sum,
-        fib0=hybrid_seq(params, "fib", 0),
-        lucas0=hybrid_seq(params, "lucas", 0),
+        fib0=HybridNumber(*f[:4]),
+        lucas0=HybridNumber(*SeqCache(lucas_params(p, q)).window(0, 3)),
     )
 
 

@@ -13,7 +13,7 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import SUITES, sequences
-from .exactarith import format_rational, parse_rational
+from .exactarith import DIGIT_CAP, format_rational, parse_integer, parse_rational
 from .hybrid import BASIS_LABELS, HybridNumber, basis_table, format_basis_product
 
 if TYPE_CHECKING:
@@ -24,10 +24,7 @@ if TYPE_CHECKING:
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
-# No command prints a numerator or denominator of more than DIGIT_CAP
-# decimal digits (CPython's default int-to-str limit).  Output over the cap
-# is a usage error, found by counting bits before the first line.
-DIGIT_CAP = 4300
+# Output over DIGIT_CAP digits is a usage error, found by counting bits first.
 _CAP_POW = 10**DIGIT_CAP
 _CAP_BITS = _CAP_POW.bit_length()
 # Work budgets, counted before any work; each is about 10 s at the limit.
@@ -116,17 +113,23 @@ def _cap_error(where: str) -> ValueError:
     return ValueError(f"{where} needs a value of more than {DIGIT_CAP} digits (the output cap)")
 
 
-def _window(cache: sequences.SeqCache, start: int, stop: int, width: int) -> list:
-    """X_start … X_{stop+width−1}, checked against the cap before any output.
+def _window(args: argparse.Namespace, width: int) -> tuple[sequences.HoradamParams, list]:
+    """The --seq parameters and X_from … X_{to+width−1}, checked against
+    the cap before any output.
 
     Line n shows X_n … X_{n+width−1}, so the error names the first line
     that would hold a value over the cap.
     """
-    values = cache.window(start, stop + width - 1)
+    params = sequences.HoradamParams(args.p, args.q, args.a, args.b)
+    start, stop = args.start, args.stop
+    if start > stop:
+        raise ValueError("--from must not exceed --to")
+    params = sequences.resolve_params(params, args.seq)
+    values = sequences.SeqCache(params).window(start, stop + width - 1)
     for k, value in enumerate(values):
         if _over_cap(value):
             raise _cap_error(f"n={max(start, start + k - width + 1)}")
-    return values
+    return params, values
 
 
 def _rendered(values: list, start: int, width: int):
@@ -140,10 +143,6 @@ def _rendered(values: list, start: int, width: int):
         del texts[0]
 
 
-def _params_from_args(args: argparse.Namespace) -> sequences.HoradamParams:
-    return sequences.HoradamParams(args.p, args.q, args.a, args.b)
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     cells = [[format_basis_product(z) for z in row] for row in basis_table()]
     rows = [["×", *BASIS_LABELS]]
@@ -155,12 +154,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
-    if args.start > args.stop:
-        raise ValueError("--from must not exceed --to")
     width = 1 if args.kind == "scalar" else 4
-    cache = sequences.SeqCache(sequences.resolve_params(params, args.seq))
-    values = _window(cache, args.start, args.stop, width)
+    values = _window(args, width)[1]
     header, line = _SEQ_LINES[args.kind, args.format]
     out = _Blocks()
     out(header)
@@ -173,21 +168,15 @@ def cmd_seq(args: argparse.Namespace) -> int:
 def cmd_binet(args: argparse.Namespace) -> int:
     from . import binet
 
-    params = _params_from_args(args)
-    if args.start > args.stop:
-        raise ValueError("--from must not exceed --to")
-    resolved = sequences.resolve_params(params, args.seq)
-    window = sequences.SeqCache(resolved)
-    values = _window(window, args.start, args.stop, 4)
-    closed = binet.binet_window(binet.make_context(resolved), args.start, args.stop)
+    params, values = _window(args, 4)
+    closed = binet.binet_window(binet.make_context(params), args.start, args.stop)
     header, line = _BINET_LINES[args.format]
     out = _Blocks()
     out(header)
     divergence = False
-    for row, value in zip(_rendered(values, args.start, 4), closed):
-        n = row[0]
-        if value != window.hybrid(n):  # say why: both hybrids, unless over the cap
-            why = {"n": n, "error": "binet/recurrence divergence"}
+    for k, (row, value) in enumerate(zip(_rendered(values, args.start, 4), closed)):
+        if value != tuple(values[k : k + 4]):  # say why: both hybrids, unless over the cap
+            why = {"n": row[0], "error": "binet/recurrence divergence"}
             if not any(map(_over_cap, value)):  # the recurrence window is checked
                 why["binet"] = value.to_json_dict()
             why["recurrence"] = dict(zip(HybridNumber._fields, row[1:]))
@@ -222,7 +211,7 @@ def cmd_char(args: argparse.Namespace) -> int:
 def cmd_expand(args: argparse.Namespace) -> int:
     from . import genfunc
 
-    params = _params_from_args(args)
+    params = sequences.HoradamParams(args.p, args.q, args.a, args.b)
     if args.terms > TERM_CAP:
         raise ValueError(f"--terms {args.terms} is over the term cap of {TERM_CAP}")
     report = genfunc.check_expansion(params, args.terms)
@@ -311,11 +300,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if gate else VERIFY_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one error: line and exit 2, like every usage error
+        self.exit(USAGE_ERROR, f"error: {message}\n")
+
+
+def _int(text: str) -> int:
+    try:
+        return parse_integer(text)
+    except ValueError as exc:  # argparse prints this message, not its generic one
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_param_opts(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=int, required=True, help="recurrence coefficient p")
-    parser.add_argument("--q", type=int, required=True, help="recurrence coefficient q (nonzero)")
-    parser.add_argument("--a", type=int, default=0, help="seed X_0 (default 0)")
-    parser.add_argument("--b", type=int, default=1, help="seed X_1 (default 1)")
+    parser.add_argument("--p", type=_int, required=True, help="recurrence coefficient p")
+    parser.add_argument("--q", type=_int, required=True, help="recurrence coefficient q (nonzero)")
+    parser.add_argument("--a", type=_int, default=0, help="seed X_0 (default 0)")
+    parser.add_argument("--b", type=_int, default=1, help="seed X_1 (default 1)")
 
 
 def _add_format_opt(parser: argparse.ArgumentParser) -> None:
@@ -323,7 +324,7 @@ def _add_format_opt(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hybridseq",
         description="Hybrid number sequences: exact evaluation and identity verification.",
     )
@@ -335,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     seq = sub.add_parser("seq", help="emit sequence values as JSON lines")
     _add_param_opts(seq)
-    seq.add_argument("--from", dest="start", type=int, default=0, help="first index")
-    seq.add_argument("--to", dest="stop", type=int, default=10, help="last index (inclusive)")
+    seq.add_argument("--from", dest="start", type=_int, default=0, help="first index")
+    seq.add_argument("--to", dest="stop", type=_int, default=10, help="last index (inclusive)")
     seq.add_argument("--kind", choices=("scalar", "hybrid"), default="hybrid")
     seq.add_argument("--seq", choices=sequences.SEQ_KINDS, default="horadam")
     _add_format_opt(seq)
@@ -344,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bin_cmd = sub.add_parser("binet", help="emit closed-form values, checked against the recurrence")
     _add_param_opts(bin_cmd)
-    bin_cmd.add_argument("--from", dest="start", type=int, default=0)
-    bin_cmd.add_argument("--to", dest="stop", type=int, default=10)
+    bin_cmd.add_argument("--from", dest="start", type=_int, default=0)
+    bin_cmd.add_argument("--to", dest="stop", type=_int, default=10)
     bin_cmd.add_argument("--seq", choices=sequences.SEQ_KINDS, default="horadam")
     _add_format_opt(bin_cmd)
     bin_cmd.set_defaults(func=cmd_binet)
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     expand = sub.add_parser("expand", help="generating-function series coefficients")
     _add_param_opts(expand)
-    expand.add_argument("--terms", type=int, default=16, help="last series index (inclusive)")
+    expand.add_argument("--terms", type=_int, default=16, help="last series index (inclusive)")
     _add_format_opt(expand)
     expand.set_defaults(func=cmd_expand)
 

@@ -10,14 +10,40 @@ or a perfect square and no floating point is ever involved.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
 Rational = Fraction
 
+DIGIT_CAP = 4300  # most digits of a numerator or denominator (CPython's int-str limit)
+# A decimal, int(whole + frac)·10^(exp − len(frac)); Fraction refuses a longer exp
+_DECIMAL = re.compile(rf"[-+]?(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d{{1,{DIGIT_CAP}}}))?")
+
 
 class IrrationalResidueError(ArithmeticError):
     """A value expected to be rational carries a nonzero s-component."""
+
+
+def _parse(text: str, what: str, read):
+    """read(text), blanks around it allowed, or a ValueError that names the text
+    and, where there is one, the rule it breaks (counted, never built)."""
+    token = text.strip()
+    decimal = _DECIMAL.fullmatch(token)
+    whole, frac, exp = decimal.groups("") if decimal else ("", "", "")
+    digits, shift = len((whole + frac).lstrip("0")), int(exp or 0) - len(frac)
+    if "_" in token or any(map(str.isspace, token)):
+        reason = ": no '_' or blank may stand inside it"
+    elif max(digits + shift, digits, 1 - shift) > DIGIT_CAP:
+        reason = f": more than {DIGIT_CAP} digits (the digit cap)"
+    else:
+        try:
+            return read(token)
+        except ZeroDivisionError:
+            reason = ": zero denominator"
+        except ValueError:
+            reason = ""
+    raise ValueError(f"invalid {what} {text!r}{reason}")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -26,16 +52,16 @@ def parse_rational(text: str) -> Fraction:
 
     The format is what ``Fraction`` reads on Python 3.10 on every version:
     ``_`` digit separators (read from 3.11 on) and blanks inside, such as
-    around ``/`` (read from 3.12 on), are refused, and so is a zero
-    denominator, each with a message that names the text.
+    around ``/`` (read from 3.12 on), are refused, and so are a zero
+    denominator and a decimal of more than DIGIT_CAP digits (``"1e5000"``).
     """
-    token = text.strip()
-    if "_" in token or any(map(str.isspace, token)):
-        raise ValueError(f"invalid rational {text!r}: no '_' or blank may stand inside it")
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ValueError(f"invalid rational {text!r}: zero denominator") from None
+    return _parse(text, "rational", Fraction)
+
+
+def parse_integer(text: str, what: str = "integer") -> int:
+    """An integer as ``int`` reads it, under :func:`parse_rational`'s rules;
+    ``what`` names it in an error message."""
+    return _parse(text, what, int)
 
 
 def format_rational(value: int | Fraction) -> str:

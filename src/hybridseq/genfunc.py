@@ -80,7 +80,7 @@ class ExpansionReport(NamedTuple):
 def check_expansion(params: HoradamParams, terms: int) -> ExpansionReport:
     """Compare every series coefficient against one recurrence window."""
     expansion = expand(params, terms)
-    window = SeqCache(params)
-    matches = tuple(coeff == window.hybrid(r) for r, coeff in enumerate(expansion.coeffs))
+    values = SeqCache(params).window(0, terms + 3)
+    matches = tuple(coeff == tuple(values[r : r + 4]) for r, coeff in enumerate(expansion.coeffs))
     first_mismatch = next((r for r, ok in enumerate(matches) if not ok), None)
     return ExpansionReport(all(matches), matches, first_mismatch, expansion)

@@ -24,7 +24,6 @@ corrected variant is authoritative: it gates suite success, while
 
 from __future__ import annotations
 
-import gc
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
@@ -35,7 +34,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import SUITES
 from .binet import BinetContext, make_context
-from .exactarith import _rational
+from .exactarith import _rational, parse_integer
 from .hybrid import HybridNumber
 from .sequences import HoradamParams, SeqCache, fib_params, lucas_params
 
@@ -476,16 +475,21 @@ class GridConfig(_GridFields):
 DEFAULT_GRID = GridConfig()
 
 
-def _parse_grid_token(token: str) -> int | str:
-    token = token.strip()
-    try:
-        return token if token == "p" else int(token)
-    except ValueError as exc:
-        raise GridConfigError(f"bad grid value {token!r}") from exc
+_GRID_FIELDS = {"p": "ps", "q": "qs", "ab": "ab", "nmax": "nmax", "rmax": "rmax"}
+
+
+def _grid_value(key: str, text: str) -> int | tuple[int | str, int | str]:
+    """One value of a grid key: an integer, or for ``ab`` a pair a:b of integers or ``p``."""
+    if key != "ab":
+        return parse_integer(text.strip(), f"{key} value")
+    a, sep, b = (token.strip() for token in text.partition(":"))
+    if not sep:
+        raise ValueError(f"seed pair {a!r} needs a:b")
+    return tuple(v if v == "p" else parse_integer(v, "ab value") for v in (a, b))
 
 
 def parse_grid_text(text: str) -> GridConfig:
-    """Parse the flat key=value grid format.
+    """Parse the flat key=value grid format; an error names its line.
 
     Example::
 
@@ -496,47 +500,28 @@ def parse_grid_text(text: str) -> GridConfig:
         rmax=6
     """
     fields: dict = {}
-    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise GridConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in seen:
-            raise GridConfigError(f"line {lineno}: grid key {key!r} is given twice")
-        seen.add(key)
-        # int() reads "1_0" as 10; like parse_rational, the grid format does not
-        bad = [item.strip() for item in value.replace(":", ",").split(",") if "_" in item]
-        if bad and key in ("p", "q", "ab", "nmax", "rmax"):
-            raise GridConfigError(
-                f"line {lineno}: invalid {key} value {bad[0]!r}: no '_' may stand inside it"
-            )
-        items = [item for item in value.split(",") if item.strip()]
-        if not items and key in ("p", "q", "ab"):
-            raise GridConfigError(f"line {lineno}: grid key {key!r} has no values")
-        if key in ("p", "q"):
-            values = tuple(_parse_grid_token(item) for item in items)
-            if any(not isinstance(v, int) for v in values):
-                raise GridConfigError(f"line {lineno}: {key} values must be integers")
-            fields["ps" if key == "p" else "qs"] = values
-        elif key == "ab":
-            pairs = []
-            for item in items:
-                a_tok, sep, b_tok = item.partition(":")
-                if not sep:
-                    raise GridConfigError(f"line {lineno}: seed pair {item!r} needs a:b")
-                pairs.append((_parse_grid_token(a_tok), _parse_grid_token(b_tok)))
-            fields["ab"] = tuple(pairs)
-        elif key in ("nmax", "rmax"):
-            try:
-                fields[key] = int(value.strip())
-            except ValueError as exc:
-                raise GridConfigError(f"line {lineno}: {key} must be an integer") from exc
-        else:
+        key, value = map(str.strip, line.split("=", 1))
+        field = _GRID_FIELDS.get(key)
+        if field is None:
             raise GridConfigError(f"line {lineno}: unknown grid key {key!r}")
+        if field in fields:
+            raise GridConfigError(f"line {lineno}: grid key {key!r} is given twice")
+        items = [item for item in value.split(",") if item.strip()]
+        try:
+            if key in ("nmax", "rmax"):
+                fields[field] = _grid_value(key, value)
+            elif not items:
+                raise ValueError(f"grid key {key!r} has no values")
+            else:
+                fields[field] = tuple(_grid_value(key, item) for item in items)
+        except ValueError as exc:
+            raise GridConfigError(f"line {lineno}: {exc}") from None
     return GridConfig(**fields)
 
 
@@ -611,9 +596,7 @@ def run_suite(config: GridConfig | None = None, suite: str = "all",
     on the case; catalan, cassini and docagne have them) are left out of the
     :attr:`SuiteResult.all_authoritative_pass` gate.  One :class:`Evaluator`
     holds the run's memo state, its products only for one unit (one suite
-    over one parameter set or (p, q)).  The loop builds only acyclic
-    records, so the cyclic collector is paused while it runs and the
-    caller's setting is restored afterwards.
+    over one parameter set or (p, q)).
     """
     config = DEFAULT_GRID if config is None else config
     names = _suite_names(suite)
@@ -624,8 +607,6 @@ def run_suite(config: GridConfig | None = None, suite: str = "all",
     ev = Evaluator()
     result = SuiteResult(suite=suite)
     tally, emit = result.add, result.reports.append if sink is None else sink
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         for name in names:
             row = _SUITE_TABLE[name]
@@ -641,6 +622,4 @@ def run_suite(config: GridConfig | None = None, suite: str = "all",
     finally:  # each product made read two HJ_n, and each HJ_n is kept
         _hyb.add(2 * ev.prod_misses, len(ev._hybs))
         _prod.add(ev.prod_lookups, ev.prod_misses)
-        if collecting:
-            gc.enable()
     return result

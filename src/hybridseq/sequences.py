@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .exactarith import roots
+from .exactarith import _rational, roots
 from .hybrid import HybridNumber
 
 SEQ_KINDS = ("fib", "lucas", "horadam")
@@ -68,13 +68,6 @@ def resolve_params(params: HoradamParams, kind: str) -> HoradamParams:
     raise ValueError(f"unknown sequence kind {kind!r}; expected one of {SEQ_KINDS}")
 
 
-def _div_q(value: int, q: int) -> int | Fraction:
-    """value/q exactly for a nonzero divisor q (a power of q times a seek
-    denominator): an int when q divides it, otherwise a Fraction."""
-    quot, rem = divmod(value, q)
-    return quot if rem == 0 else Fraction(value, q)
-
-
 def _mat_mul(x, y):
     return (
         x[0] * y[0] + x[1] * y[2],
@@ -107,7 +100,7 @@ def _seek(params: HoradamParams, n: int) -> tuple[int | Fraction, int | Fraction
         return m[2] * b + m[3] * a, m[0] * b + m[1] * a
     m = _mat_pow((0, q, 1, -p), -n)
     q_k = q ** -n
-    return _div_q(m[2] * b + m[3] * a, q_k), _div_q(m[0] * b + m[1] * a, q_k)
+    return _rational(m[2] * b + m[3] * a, q_k), _rational(m[0] * b + m[1] * a, q_k)
 
 
 def horadam(params: HoradamParams, n: int) -> int | Fraction:
@@ -163,13 +156,13 @@ class SeqCache:
             prev, cur, den = self._fwd
             for k in range(self._hi + 1, n + 1):
                 prev, cur = cur, p * cur + q * prev
-                memo[k] = cur if den == 1 else _div_q(cur, den)
+                memo[k] = cur if den == 1 else _rational(cur, den)
             self._fwd, self._hi = (prev, cur, den), n
         elif self._lo > n:
             cur, nxt, den = self._back
             for k in range(self._lo - 1, n - 1, -1):
                 cur, nxt, den = nxt - p * cur, q * cur, q * den
-                memo[k] = cur if den == 1 else _div_q(cur, den)
+                memo[k] = cur if den == 1 else _rational(cur, den)
             self._back, self._lo = (cur, nxt, den), n
         return memo[n]
 
@@ -208,16 +201,17 @@ def verify_scalar_identities(params: HoradamParams, rmax: int) -> ScalarIdentity
     p, q = params.p, params.q
     alpha, beta = roots(p, q)
     disc = params.discriminant
+    fib_at, lucas_at = SeqCache(fib_params(p, q)).value, SeqCache(lucas_params(p, q)).value
     checked = 0
     for r in range(rmax + 1):
-        fr, lr = fib(p, q, r), lucas(p, q, r)
+        fr, lr = fib_at(r), lucas_at(r)
         neg_q_r = (-q) ** r
         failures = []
-        if fib(p, q, 2 * r) != fr * lr:
+        if fib_at(2 * r) != fr * lr:
             failures.append(f"F_2r != F_r*L_r at r={r}")
-        if disc * fr * fr != lucas(p, q, 2 * r) - 2 * neg_q_r:
+        if disc * fr * fr != lucas_at(2 * r) - 2 * neg_q_r:
             failures.append(f"(p²+4q)F_r² != L_2r - 2(-q)^r at r={r}")
-        if fib(p, q, -r) != -(Fraction(-q) ** (-r)) * fr:
+        if fib_at(-r) != -(Fraction(-q) ** (-r)) * fr:
             failures.append(f"F_-r != -(-q)^-r F_r at r={r}")
         if (alpha**r + beta**r).rational_part() != lr:
             failures.append(f"L_r != rational_part(α^r+β^r) at r={r}")

@@ -8,10 +8,11 @@ cross-check the package against independent computations.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from hybridseq import HybridNumber, grid_param_sets
+from hybridseq import HybridNumber, SeqCache, grid_param_sets
 from hybridseq.identities import DEFAULT_GRID
 
 # Frozen unit multiplication table, hand-derived from i²=−1, ε²=0, h²=1,
@@ -136,3 +137,17 @@ def rand_fraction(rng, span: int = 9) -> Fraction:
 
 def rand_hybrid(rng, span: int = 9) -> HybridNumber:
     return HybridNumber(*(rand_fraction(rng, span) for _ in range(4)))
+
+
+def count_seqcache_reads(monkeypatch) -> Counter:
+    """Count SeqCache.window and SeqCache.hybrid calls by (method, parameters)."""
+    reads: Counter = Counter()
+    for name in ("window", "hybrid"):
+        method = getattr(SeqCache, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            reads[_name, self.params] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(SeqCache, name, counted)
+    return reads

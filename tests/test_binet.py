@@ -18,10 +18,12 @@ from hybridseq import (
     binet_lucas,
     fib_params,
     hybrid_seq,
+    lucas_params,
     make_context,
     product_alphabar_betabar,
     product_betabar_alphabar,
 )
+from hybridseq import binet, sequences
 from hybridseq.binet import binet_window, lift
 
 from helpers import GRID_PARAMS, GRID_PQ, hybrid_oracle
@@ -34,6 +36,26 @@ class TestContextConstants:
         assert ctx.omega == HybridNumber(Fraction(0), Fraction(0), Fraction(-1), Fraction(3))
         assert ctx.square_lucas_shift == Fraction(21, 2)
         assert ctx.square_fib_shift == Fraction(11, 2)
+
+    def test_built_from_two_windows_without_a_seek(self, monkeypatch):
+        params = HoradamParams(2, -3, 1, 4)
+        expected = make_context(params)
+
+        def refused(*args):
+            raise AssertionError("make_context seeks or builds a hybrid_seq cache")
+
+        for module in (sequences, binet):  # every name the functions are bound to
+            for name, value in list(vars(module).items()):
+                if value is sequences.horadam or value is sequences.hybrid_seq:
+                    monkeypatch.setattr(module, name, refused)
+        built = []
+        init = SeqCache.__init__
+        monkeypatch.setattr(SeqCache, "__init__",
+                            lambda self, params: built.append(params) or init(self, params))
+        assert make_context(params) == expected
+        assert built == [fib_params(2, -3), lucas_params(2, -3)]
+        assert (expected.fib0, expected.lucas0) == (
+            hybrid_oracle(2, -3, 0, 1, 0), hybrid_oracle(2, -3, 2, 2, 0))
 
     def test_weight_products(self):
         assert make_context(fib_params(1, 1)).weight_product == 1

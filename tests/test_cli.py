@@ -16,6 +16,8 @@ import pytest
 from hybridseq import HybridNumber, QuadExt, binet, cli, genfunc, identities, sequences
 from hybridseq.cli import CASE_BUDGET, DIGIT_CAP, TERM_CAP, _over_cap, main
 
+from helpers import count_seqcache_reads
+
 EXPECTED_TABLE = """\
 ×       1       i       ε       h
 1       1       i       ε       h
@@ -63,7 +65,10 @@ GOLDEN_DIGESTS = {
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's own exits: a usage error, or --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -207,6 +212,17 @@ class TestBinet:
         assert len(out.splitlines()) == 500
         assert len(constructed) <= 4
 
+    def test_one_window_read_and_no_hybrid_read(self, capsys, monkeypatch):
+        # the recurrence side is the cap-checked window the lines print from;
+        # make_context reads its own Fibonacci and Lucas windows
+        params = sequences.HoradamParams(2, -3, 1, 4)
+        reads = count_seqcache_reads(monkeypatch)
+        code, out, _ = run_cli(capsys, "binet", "--p", "2", "--q", "-3", "--a", "1", "--b", "4",
+                               "--from", "-20", "--to", "60")
+        assert (code, len(out.splitlines())) == (0, 81)
+        assert reads == {("window", params): 1, ("window", sequences.fib_params(2, -3)): 1,
+                         ("window", sequences.lucas_params(2, -3)): 1}
+
     def test_one_power_per_window(self, capsys, monkeypatch):
         # make_context's α², α³, β², β³, then one power for the whole walk
         powers = []
@@ -274,6 +290,17 @@ class TestChar:
     def test_wire_format_errors_name_the_component(self, capsys, components, message):
         code, out, err = run_cli(capsys, "char", components)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("components,refused", [
+        ("1e4000000,0,0,0", "1e4000000"),  # a 4,000,001-digit numerator, never built
+        ("1e5000,1e5000,1e5000,0", "1e5000"),  # character 0, but each component is over
+        ("1,2,3,1e-4300", "1e-4300"),
+    ])
+    def test_component_over_the_digit_cap_is_refused(self, capsys, components, refused):
+        code, out, err = run_cli(capsys, "char", components)
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid rational {refused!r}: more than {DIGIT_CAP} digits " \
+                      "(the digit cap)\n"
 
     def test_blanks_around_a_component_are_allowed(self, capsys):
         _, out, _ = run_cli(capsys, "char", " 1 ,2, 3 ,4")
@@ -393,7 +420,9 @@ class TestVerifyDigitCap:
         grid.write_text("p=1\nq=1\nnmax=1_0\n")
         code, out, err = run_cli(capsys, "verify", "--grid", str(grid))
         assert (code, out) == (2, "")
-        assert err == "error: line 3: invalid nmax value '1_0': no '_' may stand inside it\n"
+        assert err == (
+            "error: line 3: invalid nmax value '1_0': no '_' or blank may stand inside it\n"
+        )
 
     def test_plain_json_prints_no_values(self, capsys, tmp_path):
         grid = tmp_path / "grid.txt"
@@ -631,6 +660,27 @@ class TestEntryPoint:
             [sys.executable, "-m", "hybridseq"], capture_output=True, text=True
         )
         assert proc.returncode == 2
+        assert proc.stderr == "error: the following arguments are required: command\n"
+
+    @pytest.mark.parametrize("outcome,code", [("return 0", 0), ("raise SystemExit(2)", 2)])
+    def test_module_run_pauses_the_collector_and_freezes_the_heap(self, outcome, code):
+        # the process owns the collector: off for the whole of main, the heap
+        # frozen at exit (also after argparse's own exit); main never touches it
+        script = (
+            "import gc, runpy\n"
+            "from hybridseq import cli\n"
+            "seen = []\n"
+            "def main(argv=None):\n"
+            "    seen.append(gc.isenabled())\n"
+            f"    {outcome}\n"
+            "cli.main = main\n"
+            "try:\n"
+            "    runpy.run_module('hybridseq', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, seen, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.stdout, proc.stderr) == (f"{code} [False] False True\n", "")
 
     @pytest.mark.parametrize("argv", [
         "table",
@@ -640,7 +690,7 @@ class TestEntryPoint:
         "expand --p 1 --q 1 --terms 40",
         "verify --suite cassini",
         "seq --p 1 --q 1 --from 20570 --to 20600 --kind scalar",  # over the cap: exit 2
-        "seq --p x --q 1",  # an argparse error: usage and exit 2
+        "seq --p x --q 1",  # an argparse error: one line and exit 2
     ])
     def test_same_streams_as_in_process_main(self, capsys, argv):
         frozen, enabled = gc.get_freeze_count(), gc.isenabled()
@@ -662,6 +712,58 @@ class TestEntryPoint:
             assert (proc.returncode, proc.stdout, proc.stderr) == (
                 code, captured.out.encode(), captured.err.encode()
             )
+
+
+# every integer flag of every command, with the flags the command needs
+INTEGER_FLAGS = [(command, flag) for command in ("seq", "binet", "expand")
+                 for flag in ("--p", "--q", "--a", "--b")]
+INTEGER_FLAGS += [("seq", "--from"), ("seq", "--to"), ("binet", "--from"), ("binet", "--to"),
+                  ("expand", "--terms")]
+
+
+def _with_flag(command: str, flag: str, value: str) -> list[str]:
+    flags = {"--p": "1", "--q": "1", flag: value}
+    return [command, *(token for pair in flags.items() for token in pair)]
+
+
+class TestIntegerFlags:
+    """Integer flags follow the wire format of grid files and char (argparse's
+    int read "--p 1_0" as p = 10)."""
+
+    @pytest.mark.parametrize("command,flag", INTEGER_FLAGS)
+    @pytest.mark.parametrize("value,reason", [
+        ("1_0", ": no '_' or blank may stand inside it"),
+        ("1 0", ": no '_' or blank may stand inside it"),
+        ("x", ""), ("0x10", ""), ("1e3", ""), ("2.0", ""),
+    ])
+    def test_refusal_is_one_error_line(self, capsys, command, flag, value, reason):
+        code, out, err = run_cli(capsys, *_with_flag(command, flag, value))
+        assert (code, out) == (2, "")
+        assert err == f"error: argument {flag}: invalid integer {value!r}{reason}\n"
+
+    @pytest.mark.parametrize("command,flag", INTEGER_FLAGS)
+    def test_blanks_around_a_value_are_allowed(self, capsys, command, flag):
+        value = {"--q": " 2 ", "--from": " 3 ", "--terms": " 3 "}.get(flag, " 3")
+        code, out, _ = run_cli(capsys, *_with_flag(command, flag, value))
+        expected = run_cli(capsys, *_with_flag(command, flag, value.strip()))
+        assert (code, out) == expected[:2] and code == 0 and out
+
+
+class TestParserErrors:
+    @pytest.mark.parametrize("argv", [
+        "", "fermat", "seq --q 1", "table --x 1", "seq --p 1 --q 1 --kind vector",
+        "seq --p 1 --q 1 --from", "verify --format xml", "char",
+    ])
+    def test_one_error_line_and_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    def test_help_is_unchanged(self, capsys):
+        code, out, err = run_cli(capsys, "seq", "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: hybridseq seq [-h] --p P --q Q [--a A] [--b B]")
+        assert "--p P" in out and "recurrence coefficient q (nonzero)" in out
 
 
 class _CountingStdout(io.StringIO):

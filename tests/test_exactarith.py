@@ -17,6 +17,8 @@ from hybridseq import (
     roots,
 )
 
+from hybridseq.exactarith import parse_integer
+
 from helpers import GRID_PQ, FracQuad
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -62,6 +64,47 @@ class TestRationalWireFormat:
     @given(rationals)
     def test_round_trip(self, value):
         assert parse_rational(format_rational(value)) == value
+
+    @pytest.mark.parametrize("text", [
+        "1e4300", "-1e4300", "1e-4300", "1.5e-4299", "0e5000", "1e4000000", "9" * 4301,
+        "0." + "1" * 4301, "1e" + "9" * 5000,
+    ], ids=lambda text: text[:12])
+    def test_decimal_over_the_digit_cap_is_refused_before_it_is_built(self, text):
+        # 1e4000000 alone would be a 4,000,001-digit numerator; the refusal
+        # comes from counting the token's digits
+        message = f"invalid rational {text!r}" + ("" if len(text) > 5000 else
+                                                  ": more than 4300 digits (the digit cap)")
+        with pytest.raises(ValueError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text,value", [
+        ("1e4299", 10**4299), ("1e-4299", Fraction(1, 10**4299)), ("9" * 4300, int("9" * 4300)),
+        ("0.0001e4300", 10**4296), ("12.5e-3", Fraction(1, 80)),
+    ], ids=lambda v: str(v)[:12])
+    def test_decimal_at_the_digit_cap_is_read(self, text, value):
+        assert parse_rational(text) == value
+
+
+class TestIntegerWireFormat:
+    @pytest.mark.parametrize("text,value", [("5", 5), (" -7 ", -7), ("+3", 3), ("007", 7)])
+    def test_reads_what_int_reads(self, text, value):
+        assert parse_integer(text) == value
+
+    @pytest.mark.parametrize("text,reason", [
+        ("1_0", ": no '_' or blank may stand inside it"),
+        ("1 0", ": no '_' or blank may stand inside it"),
+        ("9" * 4301, ": more than 4300 digits (the digit cap)"),
+        ("x", ""), ("", ""), ("1e3", ""), ("2.0", ""), ("0x10", ""), ("1/1", ""),
+    ], ids=lambda v: v[:8])
+    def test_refusal_names_the_text_and_the_rule(self, text, reason):
+        with pytest.raises(ValueError) as exc:
+            parse_integer(text, "p value")
+        assert str(exc.value) == f"invalid p value {text!r}{reason}"
+
+    @given(st.integers(-(10**60), 10**60))
+    def test_round_trip(self, value):
+        assert parse_integer(str(value)) == value
 
 
 class TestRationalField:

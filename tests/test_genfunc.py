@@ -18,7 +18,9 @@ from hybridseq import (
 )
 from hybridseq.genfunc import numerator_hybrids
 
-from helpers import GRID_PARAMS, GRID_PQ, SMALL_PQ, binomial_oracle, hybrid_oracle
+from helpers import (
+    GRID_PARAMS, GRID_PQ, SMALL_PQ, binomial_oracle, count_seqcache_reads, hybrid_oracle,
+)
 
 
 class TestNumerator:
@@ -98,6 +100,12 @@ class TestCheck:
         monkeypatch.setattr(genfunc, "binomial_series_coeff", counted)
         assert check_expansion(HoradamParams(2, -3, 1, 4), terms).ok
         assert sorted(calls) == list(range(terms + 1))
+
+    def test_one_window_read(self, monkeypatch):
+        params = HoradamParams(2, -3, 1, 4)
+        reads = count_seqcache_reads(monkeypatch)
+        assert check_expansion(params, 40).ok
+        assert reads == {("window", params): 1}
 
     def test_full_grid(self):
         for params in GRID_PARAMS:

@@ -301,7 +301,30 @@ class TestGridConfig:
         # int() reads "1_0" as 10 on every Python; the grid format does not
         with pytest.raises(GridConfigError) as exc:
             parse_grid_text(text)
-        assert str(exc.value) == f"{where}: no '_' may stand inside it"
+        assert str(exc.value) == f"{where}: no '_' or blank may stand inside it"
+
+    @pytest.mark.parametrize("key", ["p", "q", "ab", "nmax", "rmax"])
+    @pytest.mark.parametrize("token,reason", [
+        ("x", ""), ("0x10", ""), ("2.5", ""), ("1e3", ""), ("+-1", ""),
+        ("1_0", ": no '_' or blank may stand inside it"),
+        ("1 0", ": no '_' or blank may stand inside it"),
+        ("9" * 4301, ": more than 4300 digits (the digit cap)"),
+    ], ids=lambda v: v[:8])
+    def test_every_bad_value_names_its_line_and_key(self, key, token, reason):
+        value = f"{token}:1" if key == "ab" else token  # ab=x:1 names the seed token
+        with pytest.raises(GridConfigError) as exc:
+            parse_grid_text(f"# grid\n\n{key}={value}\n")
+        assert str(exc.value) == f"line 3: invalid {key} value {token!r}{reason}"
+
+    @pytest.mark.parametrize("text,where", [
+        ("ab=1:x\n", "line 1: invalid ab value 'x'"),
+        ("p=p\n", "line 1: invalid p value 'p'"),
+        ("q=1\nnmax=\n", "line 2: invalid nmax value ''"),
+        ("rmax=1,2\n", "line 1: invalid rmax value '1,2'"),
+    ])
+    def test_bad_value_in_any_position(self, text, where):
+        with pytest.raises(GridConfigError, match=f"^{where}$"):
+            parse_grid_text(text)
 
     def test_repeated_key_rejected(self):
         with pytest.raises(GridConfigError, match="line 3: grid key 'p' is given twice"):
@@ -326,6 +349,17 @@ class TestSuite:
         result = run_suite(GridConfig(ps=(), qs=(1,)))
         assert result.cases == 0
         assert result.all_authoritative_pass
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_setting_is_left_alone(self, enabled):
+        # the process owns the collector (python -m hybridseq pauses it), a run never
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            run_suite(SMALL_GRID, "cassini")
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
 
     def test_reports_are_reproducible(self):
         first = run_suite(SMALL_GRID, "cassini")
@@ -457,6 +491,13 @@ class TestRunState:
         for b, o, t in zip(before, once, self._lookups()):
             assert o[0] > b[0] and o[1] > b[1]
             assert (t[0] - o[0], t[1] - o[1]) == (2 * (o[0] - b[0]), 2 * (o[1] - b[1]))
+
+    def test_default_grid_lookups(self):
+        # the tracer's hit ratios are built from these counts
+        before = self._lookups()
+        run_suite(DEFAULT_GRID, sink=lambda report: None)
+        added = [(t[0] - b[0], t[1] - b[1]) for b, t in zip(before, self._lookups())]
+        assert added == [(16771, 18289), (35578, 1000)]
 
     def test_no_module_level_cache(self):
         assert not [name for name, value in vars(identities).items()
@@ -620,32 +661,6 @@ class TestIntegerNumeratorPath:
                 assert _int_exactly_when_integral(variant.value), report.case
             if not report.case.extended:
                 assert report.authoritative_passed, report.case
-
-
-class TestCollectorPause:
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_caller_setting_is_restored(self, enabled):
-        was = gc.isenabled()
-        try:
-            gc.enable() if enabled else gc.disable()
-            run_suite(SMALL_GRID, "cassini")
-            assert gc.isenabled() is enabled
-        finally:
-            gc.enable() if was else gc.disable()
-
-    def test_paused_while_running_and_restored_on_error(self, monkeypatch):
-        seen = []
-
-        def failing(*args, **kwargs):
-            seen.append(gc.isenabled())
-            raise ArithmeticError("planted")
-
-        monkeypatch.setattr(identities, "adjacent_commutator", failing)
-        assert gc.isenabled()
-        with pytest.raises(ArithmeticError):
-            run_suite(SMALL_GRID, "adjacent-commutator")
-        assert seen == [False]
-        assert gc.isenabled()
 
 
 class TestCaseCount:

@@ -106,10 +106,10 @@ def _scalar_fib_shift(monkeypatch) -> None:
     monkeypatch.setattr(identities.Evaluator, "scalar", mutated)
 
 
-def _div_q_off_by_one(monkeypatch) -> None:
-    """One unit too much on every division by q (the backward direction)."""
-    original = sequences._div_q
-    monkeypatch.setattr(sequences, "_div_q", lambda value, q: original(value, q) + 1)
+def _rational_off_by_one(monkeypatch) -> None:
+    """One unit too much on every division by a power of q (the backward direction)."""
+    original = sequences._rational
+    monkeypatch.setattr(sequences, "_rational", lambda num, den: original(num, den) + 1)
 
 
 MUTANTS = {
@@ -123,7 +123,7 @@ MUTANTS = {
     "mul: h part commutative": _mul_mutant(h_sign=-1),
     "_neg_q_pow parity": _neg_q_pow_parity,
     "_scalar F_r -> F_r+1": _scalar_fib_shift,
-    "sequences._div_q +1": _div_q_off_by_one,
+    "sequences._rational +1": _rational_off_by_one,
 }
 
 # the suites whose right side reads HL₀ − cross_shift, resp. HF₀ − omega
@@ -148,7 +148,7 @@ KILL_MATRIX: dict[str, set[str]] = {
         "catalan", "cassini", "docagne",
         "lucas-fib-exchange", "square-difference", "horadam-commutator",
     },
-    "sequences._div_q +1": {"catalan", "cassini", "docagne", "lucas-fib-exchange"},
+    "sequences._rational +1": {"catalan", "cassini", "docagne", "lucas-fib-exchange"},
 }
 
 
@@ -195,7 +195,7 @@ def test_kill_set_matches_matrix(name, monkeypatch):
 def test_values_computed_under_a_mutant_do_not_outlive_its_run(monkeypatch):
     """Each run keeps its values to itself: once a mutant is undone, the next
     run computes afresh, with nothing to clear."""
-    MUTANTS["sequences._div_q +1"](monkeypatch)
+    MUTANTS["sequences._rational +1"](monkeypatch)
     assert not run_suite(MUTATION_GRID, "catalan").all_authoritative_pass
     monkeypatch.undo()
     assert run_suite(MUTATION_GRID, "catalan").all_authoritative_pass
