@@ -1,10 +1,34 @@
-import gc
+"""The process around ``cli.main``, one for every entry point: ``python -m
+hybridseq``, ``python -m hybridseq.cli`` and the ``hybridseq`` script."""
 
-from .cli import main
+import gc
+import os
+import sys
+
+
+def run() -> None:
+    """Run ``cli.main`` with the cyclic collector off, then flush stdout and
+    stderr and end the process at once: the output is all written, so the
+    interpreter's teardown (atexit handlers, module clean-up, the shutdown
+    collections) would only free memory the exit frees anyway.  If a flush
+    fails, the process exits the normal way, which reports it as before."""
+    gc.disable()  # a run makes no cyclic garbage worth a pass
+    from .cli import main  # imported with the collector already off
+
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's help and errors
+        code = exc.code
+    if type(code) is int:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (AttributeError, OSError, ValueError):  # no stream, a write error, a closed file
+            pass
+        else:
+            os._exit(code)
+    raise SystemExit(code)
+
 
 if __name__ == "__main__":
-    gc.disable()  # a run makes no cyclic garbage worth a pass; exit frees it all
-    try:
-        raise SystemExit(main())
-    finally:  # also on argparse's SystemExit: shutdown's full collections skip a frozen heap
-        gc.freeze()
+    run()

@@ -16,8 +16,8 @@ constants of the product/square lemmas and of the identity right-hand sides.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .exactarith import QuadExt, _rational, roots
 from .hybrid import HybridNumber
@@ -28,7 +28,10 @@ class LemmaMismatchError(ArithmeticError):
     """A closed-form lemma disagreed with the direct product (a bug)."""
 
 
-class BinetContext(NamedTuple):
+class BinetContext(namedtuple("BinetContext", (
+    "params disc alpha beta alpha_hybrid beta_hybrid alpha_weight beta_weight "
+    "weight_product cross_shift omega square_lucas_shift square_fib_shift fib0 lucas0"
+))):
     """Immutable bundle of the closed-form constants for one parameter set.
 
     ``cross_shift`` is the scalar q³+pq−q+1 and ``omega`` the hybrid
@@ -38,21 +41,7 @@ class BinetContext(NamedTuple):
     α̲², β̲² = (HL₀ + square_lucas_shift) ± (α−β)·(HF₀ + square_fib_shift).
     """
 
-    params: HoradamParams
-    disc: int
-    alpha: QuadExt
-    beta: QuadExt
-    alpha_hybrid: HybridNumber
-    beta_hybrid: HybridNumber
-    alpha_weight: QuadExt
-    beta_weight: QuadExt
-    weight_product: int
-    cross_shift: int
-    omega: HybridNumber
-    square_lucas_shift: Fraction
-    square_fib_shift: Fraction
-    fib0: HybridNumber
-    lucas0: HybridNumber
+    __slots__ = ()
 
 
 def make_context(params: HoradamParams) -> BinetContext:

@@ -7,9 +7,9 @@ streams.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from itertools import chain
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import SUITES, sequences
@@ -17,6 +17,7 @@ from .exactarith import DIGIT_CAP, format_rational, parse_integer, parse_rationa
 from .hybrid import BASIS_LABELS, HybridNumber, basis_table, format_basis_product
 
 if TYPE_CHECKING:
+    from argparse import ArgumentParser, Namespace
     from fractions import Fraction
 
     from .identities import VerificationReport
@@ -113,7 +114,7 @@ def _cap_error(where: str) -> ValueError:
     return ValueError(f"{where} needs a value of more than {DIGIT_CAP} digits (the output cap)")
 
 
-def _window(args: argparse.Namespace, width: int) -> tuple[sequences.HoradamParams, list]:
+def _window(args: Namespace, width: int) -> tuple[sequences.HoradamParams, list]:
     """The --seq parameters and X_from … X_{to+width−1}, checked against
     the cap before any output.
 
@@ -143,7 +144,7 @@ def _rendered(values: list, start: int, width: int):
         del texts[0]
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: Namespace) -> int:
     cells = [[format_basis_product(z) for z in row] for row in basis_table()]
     rows = [["×", *BASIS_LABELS]]
     rows += [[BASIS_LABELS[k], *cells[k]] for k in range(4)]
@@ -153,7 +154,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_seq(args: argparse.Namespace) -> int:
+def cmd_seq(args: Namespace) -> int:
     width = 1 if args.kind == "scalar" else 4
     values = _window(args, width)[1]
     header, line = _SEQ_LINES[args.kind, args.format]
@@ -165,7 +166,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_binet(args: argparse.Namespace) -> int:
+def cmd_binet(args: Namespace) -> int:
     from . import binet
 
     params, values = _window(args, 4)
@@ -189,7 +190,7 @@ def cmd_binet(args: argparse.Namespace) -> int:
     return VERIFY_ERROR if divergence else 0
 
 
-def cmd_char(args: argparse.Namespace) -> int:
+def cmd_char(args: Namespace) -> int:
     components = [parse_rational(tok) for tok in args.components.split(",")]
     if len(components) != 4:
         raise ValueError("expected four comma-separated rationals: s,i,e,h")
@@ -208,7 +209,7 @@ def cmd_char(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_expand(args: argparse.Namespace) -> int:
+def cmd_expand(args: Namespace) -> int:
     from . import genfunc
 
     params = sequences.HoradamParams(args.p, args.q, args.a, args.b)
@@ -264,7 +265,7 @@ def _audit_line(report: VerificationReport) -> str:
                    "variants": variants}) + "\n"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: Namespace) -> int:
     from . import identities
 
     if args.audit and args.format == "csv":
@@ -300,85 +301,141 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if gate else VERIFY_ERROR
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # one error: line and exit 2, like every usage error
-        self.exit(USAGE_ERROR, f"error: {message}\n")
+# One row per flag of each command: (flag, dest, kind, default, required,
+# help).  kind is int (read by parse_integer), str, a tuple of choices, or
+# bool for a flag that takes no value (store_true); a flag without "--" is
+# the command's positional argument.
+_PQAB = (
+    ("--p", "p", int, None, True, "recurrence coefficient p"),
+    ("--q", "q", int, None, True, "recurrence coefficient q (nonzero)"),
+    ("--a", "a", int, 0, False, "seed X_0 (default 0)"),
+    ("--b", "b", int, 1, False, "seed X_1 (default 1)"),
+)
+_SEQ = ("--seq", "seq", sequences.SEQ_KINDS, "horadam", False, None)
+_FORMAT = ("--format", "format", ("json", "csv"), "json", False, None)
+COMMANDS = {  # name -> (function, help, flag rows)
+    "table": (cmd_table, "print the 4×4 unit multiplication table", ()),
+    "seq": (cmd_seq, "emit sequence values as JSON lines", (
+        *_PQAB,
+        ("--from", "start", int, 0, False, "first index"),
+        ("--to", "stop", int, 10, False, "last index (inclusive)"),
+        ("--kind", "kind", ("scalar", "hybrid"), "hybrid", False, None),
+        _SEQ, _FORMAT,
+    )),
+    "binet": (cmd_binet, "emit closed-form values, checked against the recurrence", (
+        *_PQAB,
+        ("--from", "start", int, 0, False, None),
+        ("--to", "stop", int, 10, False, None),
+        _SEQ, _FORMAT,
+    )),
+    "char": (cmd_char, "character, norm magnitude and sign class", (
+        ("components", "components", str, None, True, "four comma-separated rationals: s,i,e,h"),
+        _FORMAT,
+    )),
+    "expand": (cmd_expand, "generating-function series coefficients", (
+        *_PQAB,
+        ("--terms", "terms", int, 16, False, "last series index (inclusive)"),
+        _FORMAT,
+    )),
+    "verify": (cmd_verify, "run the identity verification suite", (
+        ("--suite", "suite", str, "all", False,
+         "identity to verify, or 'all' (choices: %s)" % ", ".join(SUITES)),
+        ("--audit", "audit", bool, False, False, "include per-variant outcomes"),
+        ("--grid", "grid", str, None, False, "grid file (key=value lines: p, q, ab, nmax, rmax)"),
+        _FORMAT,
+    )),
+}
 
 
-def _int(text: str) -> int:
-    try:
-        return parse_integer(text)
-    except ValueError as exc:  # argparse prints this message, not its generic one
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _is_value(token: str) -> bool:
+    """Whether argparse reads the token as a value, never as an option: it
+    does not start with "-", or it is "-" and ASCII digits (a negative
+    integer).  Other tokens that start with "-" are left to argparse."""
+    return not token.startswith("-") or (token[1:].isdigit() and token[1:].isascii())
 
 
-def _add_param_opts(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=_int, required=True, help="recurrence coefficient p")
-    parser.add_argument("--q", type=_int, required=True, help="recurrence coefficient q (nonzero)")
-    parser.add_argument("--a", type=_int, default=0, help="seed X_0 (default 0)")
-    parser.add_argument("--b", type=_int, default=1, help="seed X_1 (default 1)")
+def parse_canonical(argv: list[str]) -> dict | None:
+    """The arguments argparse would return for argv, as a dict, when argv is
+    in canonical form: a command, then exact flag names each followed by a
+    valid value (``--flag value``), each flag at most once, every required
+    one present.  Anything else (help, any error, abbreviations,
+    ``--flag=value``, a repeated flag, ``--``) gives None, for argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, rows = COMMANDS[argv[0]]
+    flags = {row[0]: row for row in rows if row[0][0] == "-"}
+    positional = next((row for row in rows if row[0][0] != "-"), None)
+    found = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        row = flags.get(token)
+        if row is None:  # the positional, if the command has one
+            row, value = positional, token
+            if row is None or not _is_value(value):
+                return None
+        elif row[2] is bool:
+            value = True
+        else:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                return None
+        _, dest, kind = row[:3]
+        if dest in found:
+            return None
+        if kind is int:
+            try:
+                value = parse_integer(value)
+            except ValueError:
+                return None
+        elif isinstance(kind, tuple) and value not in kind:
+            return None
+        found[dest] = value
+    if any(row[4] and row[1] not in found for row in rows):
+        return None
+    return {"command": argv[0], "func": func, **{row[1]: row[3] for row in rows}, **found}
 
 
-def _add_format_opt(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+def build_parser() -> ArgumentParser:
+    """The argparse parser for help and errors, built from COMMANDS."""
+    import argparse
 
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # one error: line and exit 2, like every usage error
+            self.exit(USAGE_ERROR, f"error: {message}\n")
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    def integer(text: str) -> int:
+        try:
+            return parse_integer(text)
+        except ValueError as exc:  # argparse prints this message, not its generic one
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parser = Parser(
         prog="hybridseq",
         description="Hybrid number sequences: exact evaluation and identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("table", help="print the 4×4 unit multiplication table").set_defaults(
-        func=cmd_table
-    )
-
-    seq = sub.add_parser("seq", help="emit sequence values as JSON lines")
-    _add_param_opts(seq)
-    seq.add_argument("--from", dest="start", type=_int, default=0, help="first index")
-    seq.add_argument("--to", dest="stop", type=_int, default=10, help="last index (inclusive)")
-    seq.add_argument("--kind", choices=("scalar", "hybrid"), default="hybrid")
-    seq.add_argument("--seq", choices=sequences.SEQ_KINDS, default="horadam")
-    _add_format_opt(seq)
-    seq.set_defaults(func=cmd_seq)
-
-    bin_cmd = sub.add_parser("binet", help="emit closed-form values, checked against the recurrence")
-    _add_param_opts(bin_cmd)
-    bin_cmd.add_argument("--from", dest="start", type=_int, default=0)
-    bin_cmd.add_argument("--to", dest="stop", type=_int, default=10)
-    bin_cmd.add_argument("--seq", choices=sequences.SEQ_KINDS, default="horadam")
-    _add_format_opt(bin_cmd)
-    bin_cmd.set_defaults(func=cmd_binet)
-
-    char = sub.add_parser("char", help="character, norm magnitude and sign class")
-    char.add_argument("components", help="four comma-separated rationals: s,i,e,h")
-    _add_format_opt(char)
-    char.set_defaults(func=cmd_char)
-
-    expand = sub.add_parser("expand", help="generating-function series coefficients")
-    _add_param_opts(expand)
-    expand.add_argument("--terms", type=_int, default=16, help="last series index (inclusive)")
-    _add_format_opt(expand)
-    expand.set_defaults(func=cmd_expand)
-
-    verify = sub.add_parser("verify", help="run the identity verification suite")
-    verify.add_argument(
-        "--suite",
-        default="all",
-        help="identity to verify, or 'all' (choices: %s)" % ", ".join(SUITES),
-    )
-    verify.add_argument("--audit", action="store_true", help="include per-variant outcomes")
-    verify.add_argument("--grid", help="grid file (key=value lines: p, q, ab, nmax, rmax)")
-    _add_format_opt(verify)
-    verify.set_defaults(func=cmd_verify)
-
+    for name, (func, help_text, rows) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, dest, kind, default, required, text in rows:
+            if flag[0] != "-":
+                command.add_argument(flag, help=text)
+            elif kind is bool:
+                command.add_argument(flag, action="store_true", help=text)
+            else:
+                command.add_argument(
+                    flag, dest=dest, default=default, required=required, help=text,
+                    type=integer if kind is int else None,
+                    choices=None if kind in (int, str) else kind,
+                )
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    found = parse_canonical(argv)
+    args = build_parser().parse_args(argv) if found is None else SimpleNamespace(**found)
     try:
         return args.func(args)
     except (ValueError, OSError, ZeroDivisionError, OverflowError) as exc:
@@ -390,4 +447,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from .__main__ import run
+
+    run()

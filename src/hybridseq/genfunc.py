@@ -12,7 +12,7 @@ recurrence-generated sequence is a genuinely independent check.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .hybrid import HybridNumber
 from .sequences import HoradamParams, SeqCache
@@ -50,9 +50,7 @@ def numerator_hybrids(params: HoradamParams) -> tuple[HybridNumber, HybridNumber
     return constant, linear
 
 
-class SeriesExpansion(NamedTuple):
-    params: HoradamParams
-    coeffs: tuple[HybridNumber, ...]
+SeriesExpansion = namedtuple("SeriesExpansion", "params coeffs")
 
 
 def expand(params: HoradamParams, terms: int) -> SeriesExpansion:
@@ -70,11 +68,7 @@ def expand(params: HoradamParams, terms: int) -> SeriesExpansion:
     return SeriesExpansion(params, tuple(coeffs))
 
 
-class ExpansionReport(NamedTuple):
-    ok: bool
-    matches: tuple[bool, ...]
-    first_mismatch: int | None
-    expansion: SeriesExpansion
+ExpansionReport = namedtuple("ExpansionReport", "ok matches first_mismatch expansion")
 
 
 def check_expansion(params: HoradamParams, terms: int) -> ExpansionReport:

@@ -13,18 +13,15 @@ Components may live in any commutative coefficient ring: plain integers,
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .exactarith import format_rational, parse_rational
 
 
-class HybridNumber(NamedTuple):
+class HybridNumber(namedtuple("HybridNumber", "s i e h")):
     """Quadruple (s, i, e, h): scalar part and the i/ε/h coefficients."""
 
-    s: object
-    i: object
-    e: object
-    h: object
+    __slots__ = ()
 
     @classmethod
     def from_scalar(cls, value) -> HybridNumber:
@@ -126,9 +123,7 @@ class HybridNumber(NamedTuple):
         return cls(*(parse_rational(data[key]) for key in ("s", "i", "e", "h")))
 
 
-class HybridNorm(NamedTuple):
-    value: float
-    sign_class: str
+HybridNorm = namedtuple("HybridNorm", "value sign_class")
 
 
 def commutator(z: HybridNumber, w: HybridNumber) -> HybridNumber:

@@ -25,12 +25,12 @@ corrected variant is authoritative: it gates suite success, while
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations_with_replacement, product
 from math import lcm
 from threading import Lock
-from typing import Callable, Iterable, NamedTuple
 
 from . import SUITES
 from .binet import BinetContext, make_context
@@ -47,13 +47,10 @@ class GridConfigError(ValueError):
     """Invalid verification grid configuration."""
 
 
-class IdentityCase(NamedTuple):
+class IdentityCase(namedtuple("IdentityCase", "name params indices extended", defaults=(False,))):
     """One grid point: identity name, parameters, and index tuple."""
 
-    name: str
-    params: HoradamParams
-    indices: tuple[int, ...]
-    extended: bool = False
+    __slots__ = ()
 
 
 class VariantResult(namedtuple("VariantResult", "label value passed authoritative")):
@@ -300,15 +297,14 @@ def _catalan_count(n: int, r: int) -> int:
     return (k + 1) * (k + 2) // 2 + (n - k) * (k + 1)
 
 
-class _Suite(NamedTuple):
-    per_pq: bool  # once per distinct (p, q), else once per parameter set
-    indices: Callable[[int, int], Iterable[tuple[int, ...]]]  # from (nmax, rmax)
-    count: Callable[[int, int], int]  # how many have no negative index, in closed form
-    lhs: Callable[..., tuple[tuple, tuple]]  # (J, F, L, *indices) -> two product keys
-    rhs: Callable[..., tuple]  # a right side, above
-    probes: Callable[[int, int], int] = lambda n, r: 0  # how many have one, in closed form
-    domain: Callable[..., bool] = lambda *indices: True  # not asked of a probe
-    domain_error: str = ""
+# One identity suite as data.  per_pq: once per distinct (p, q), else once
+# per parameter set; indices(nmax, rmax): the index tuples; count and probes
+# (nmax, rmax): how many have no negative index, and how many have one, in
+# closed form; lhs(J, F, L, *indices): two product keys; rhs: a right side,
+# above; domain(*indices): whether a gated case is in the domain (not asked
+# of a probe), and domain_error the message when it is not.
+_Suite = namedtuple("_Suite", "per_pq indices count lhs rhs probes domain domain_error",
+                    defaults=(lambda n, r: 0, lambda *indices: True, ""))
 
 
 # A case is extended exactly when one of its indices is negative.  In lhs,
@@ -443,15 +439,9 @@ def diag_commutator(ctx: BinetContext, n: int, *,
 # --- grid configuration and the suite runner ---
 
 
-class _GridFields(NamedTuple):
-    ps: tuple[int, ...] = (1, 2, 3)
-    qs: tuple[int, ...] = (-2, -1, 1, 2)
-    ab: tuple[tuple[int | str, int | str], ...] = ((0, 1), (2, "p"), (1, 1), (2, 3))
-    nmax: int = 10
-    rmax: int = 6
-
-
-class GridConfig(_GridFields):
+class GridConfig(namedtuple("GridConfig", "ps qs ab nmax rmax", defaults=(
+    (1, 2, 3), (-2, -1, 1, 2), ((0, 1), (2, "p"), (1, 1), (2, 3)), 10, 6,
+))):
     """Cartesian verification grid; (p,q) pairs with p²+4q = 0 are skipped."""
 
     __slots__ = ()

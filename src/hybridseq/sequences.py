@@ -11,9 +11,9 @@ A value is a :class:`~fractions.Fraction` only where it is not an integer.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
 
 from .exactarith import _rational, roots
 from .hybrid import HybridNumber
@@ -21,14 +21,7 @@ from .hybrid import HybridNumber
 SEQ_KINDS = ("fib", "lucas", "horadam")
 
 
-class _HoradamFields(NamedTuple):
-    p: int
-    q: int
-    a: int
-    b: int
-
-
-class HoradamParams(_HoradamFields):
+class HoradamParams(namedtuple("HoradamParams", "p q a b")):
     """Recurrence parameters (p, q) and seed values (a, b) = (X_0, X_1)."""
 
     __slots__ = ()
@@ -183,10 +176,7 @@ def hybrid_seq(params: HoradamParams, kind: str, n: int) -> HybridNumber:
     return SeqCache(resolve_params(params, kind)).hybrid(n)
 
 
-class ScalarIdentityReport(NamedTuple):
-    ok: bool
-    checked: int
-    first_failure: str | None
+ScalarIdentityReport = namedtuple("ScalarIdentityReport", "ok checked first_failure")
 
 
 def verify_scalar_identities(params: HoradamParams, rmax: int) -> ScalarIdentityReport:

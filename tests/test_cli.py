@@ -7,9 +7,11 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +64,11 @@ GOLDEN_DIGESTS = {
     "verify --audit":
         "0ef1fc18ee74d34352d4e8f4b3469f137e5d58a81e9d1519546aa9d13f4b0d05",
 }
+
+
+def _buffered_env() -> dict[str, str]:
+    """The environment without PYTHONUNBUFFERED: stdout to a pipe is buffered."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
 def run_cli(capsys, *argv):
@@ -663,24 +670,78 @@ class TestEntryPoint:
         assert proc.stderr == "error: the following arguments are required: command\n"
 
     @pytest.mark.parametrize("outcome,code", [("return 0", 0), ("raise SystemExit(2)", 2)])
-    def test_module_run_pauses_the_collector_and_freezes_the_heap(self, outcome, code):
-        # the process owns the collector: off for the whole of main, the heap
-        # frozen at exit (also after argparse's own exit); main never touches it
+    def test_module_run_pauses_the_collector_and_exits_once_flushed(self, outcome, code):
+        # the process owns the collector: off for the whole of main; once
+        # stdout and stderr are flushed the process ends without the
+        # interpreter's teardown, so an atexit handler never runs.  stdout is
+        # buffered here, so the line arrives only through that flush.
         script = (
-            "import gc, runpy\n"
+            "import atexit, gc, runpy, sys\n"
             "from hybridseq import cli\n"
-            "seen = []\n"
             "def main(argv=None):\n"
-            "    seen.append(gc.isenabled())\n"
+            "    atexit.register(print, 'teardown ran')\n"
+            "    print('collector on:', gc.isenabled())\n"
+            "    sys.stderr.write('no newline')\n"
             f"    {outcome}\n"
             "cli.main = main\n"
-            "try:\n"
-            "    runpy.run_module('hybridseq', run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    print(exc.code, seen, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+            "runpy.run_module('hybridseq', run_name='__main__')\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert (proc.stdout, proc.stderr) == (f"{code} [False] False True\n", "")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=_buffered_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, "collector on: False\n", "no newline"
+        )
+
+    def test_a_failed_flush_ends_as_a_plain_exit(self):
+        # stdout's reader is gone, so the flush after main raises: the process
+        # then exits the normal way, and CPython reports it as it always has
+        stub = (
+            "import os\n"
+            "def main(argv=None):\n"
+            "    print('lost')\n"
+            "    r, w = os.pipe(); os.dup2(w, 1); os.close(r); os.close(w)\n"
+            "    return 0\n"
+        )
+        module_run = stub + (
+            "import runpy\n"
+            "from hybridseq import cli\n"
+            "cli.main = main\n"
+            "runpy.run_module('hybridseq', run_name='__main__')\n"
+        )
+        plain_exit = stub + "raise SystemExit(main())\n"
+        run, plain = (
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=_buffered_env())
+            for code in (module_run, plain_exit)
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (
+            plain.returncode, plain.stdout, plain.stderr
+        )
+        assert run.returncode == 120 and "BrokenPipeError" in run.stderr
+
+    def test_console_script_runs_the_module_entry_point(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        if sys.version_info >= (3, 11):
+            import tomllib
+
+            target = tomllib.loads(text)["project"]["scripts"]["hybridseq"]
+        else:
+            target = re.search(r'^hybridseq = "(.*)"$', text, re.MULTILINE)[1]
+        assert target == "hybridseq.__main__:run"
+        from hybridseq.__main__ import run
+
+        assert callable(run)
+
+    @pytest.mark.parametrize("argv", ["table", "seq --p x --q 1"])
+    def test_cli_module_runs_as_the_package_does(self, argv):
+        package, module = (
+            subprocess.run([sys.executable, "-m", name, *argv.split()], capture_output=True)
+            for name in ("hybridseq", "hybridseq.cli")
+        )
+        assert package.stdout or package.stderr
+        assert (module.returncode, module.stdout, module.stderr) == (
+            package.returncode, package.stdout, package.stderr
+        )
 
     @pytest.mark.parametrize("argv", [
         "table",
@@ -702,7 +763,7 @@ class TestEntryPoint:
         assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
         captured = capsys.readouterr()
         for unbuffered in ("1", None):  # blocks give the same bytes either way
-            env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+            env = _buffered_env()
             if unbuffered:
                 env["PYTHONUNBUFFERED"] = unbuffered
             proc = subprocess.run(
@@ -749,6 +810,20 @@ class TestIntegerFlags:
         assert (code, out) == expected[:2] and code == 0 and out
 
 
+# sha256 of every help text at 80 columns, recorded (the same on Python 3.10
+# to 3.13) while each command's parser was still written out by hand
+HELP_DIGESTS = {
+    "--help": "4849e7c2df8cf35cbce24add36caa19fd72a243bae78cb28a60be79fafdffdf1",
+    "-h": "4849e7c2df8cf35cbce24add36caa19fd72a243bae78cb28a60be79fafdffdf1",
+    "table --help": "2d31a0aef83d58ef8328573df88e17aa63edffad3f7d8b94457fc4f8deae71cd",
+    "seq --help": "90a9e519f35e1447a40532f2da997745d034e44ca32ec5d6878f508c624aa39c",
+    "binet --help": "15f9de45d2d16072fd130d38f313e432993d33ca277d6458dea435b498031a11",
+    "char --help": "e2b61a7a8371a64f5494832687b352e0e4420a1643bf1f69dee97cc294f5ecd3",
+    "expand --help": "fa78b40b88e7a0115647e5c1b09d2c363506c1de95a472b3a9a81f843d9cc0ec",
+    "verify --help": "ee64cd342c20086f178d7dde2fdbac79efbbd4e2af5a0b7d9c96750333475c7c",
+}
+
+
 class TestParserErrors:
     @pytest.mark.parametrize("argv", [
         "", "fermat", "seq --q 1", "table --x 1", "seq --p 1 --q 1 --kind vector",
@@ -764,6 +839,13 @@ class TestParserErrors:
         assert (code, err) == (0, "")
         assert out.startswith("usage: hybridseq seq [-h] --p P --q Q [--a A] [--b B]")
         assert "--p P" in out and "recurrence coefficient q (nonzero)" in out
+
+    @pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
+    def test_help_text_digest(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_DIGESTS[argv]
 
 
 class _CountingStdout(io.StringIO):

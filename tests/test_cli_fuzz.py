@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from hybridseq import SUITES
-from hybridseq.cli import main
+from hybridseq.cli import build_parser, main, parse_canonical
 
 MALFORMED = ["1_0", "0x10", " 1 ", "1 0", "nan", "inf", "", "x", "1e3", "2.0", "--", "+-1",
              "9" * 4301, "١٢"]
@@ -110,7 +110,17 @@ def grid_bytes(draw) -> bytes:
     return text
 
 
+def _agrees(argv: list[str]) -> bool:
+    """Whether the table parse takes argv; if it does, it must give what
+    argparse gives."""
+    found = parse_canonical(argv)
+    if found is not None:
+        assert found == vars(build_parser().parse_args(argv)), argv
+    return found is not None
+
+
 def _check(capsys, argv: list[str]) -> None:
+    event("table parse" if _agrees(argv) else "argparse")
     runs = []
     for _ in range(2):
         try:
@@ -168,3 +178,51 @@ def test_verify_grid(capsys, tmp_path_factory, grid, suite, extra):
                      max_size=6))
 def test_any_token_sequence(capsys, argv):
     _check(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "--p", "1", "--q", "1", "--fo", "csv"],  # an abbreviation
+    ["seq", "--p=1", "--q", "1"],
+    ["seq", "--p", "1", "--p", "2", "--q", "1"],  # a repeated flag: argparse keeps the last
+    ["verify", "--audit", "--audit"],
+    ["verify", "--grid", "-h"],
+    ["verify", "--grid", "-5"],
+    ["seq", "--p", "1", "--q", "1", "--"],
+    ["seq", "--", "--p", "1", "--q", "1"],
+    ["seq", "--p", "-١", "--q", "1"],  # argparse reads it as a negative number
+    ["seq", "--p", "-²", "--q", "1"],  # and this as an unknown option
+    ["seq", "--p", " 3", "--q", "1"],
+    ["seq", "--p", "-3 ", "--q", "1"],
+    ["char", "-1,2,3,4"],  # a component that starts with "-"
+    ["char", "-1"],
+    ["char", " -1,2,3,4"],
+    ["char", ""],
+    ["char", "1,2,3,4", "5"],
+    ["table", "-5"],
+    ["verify", "--suite", "-5"],
+    ["seq", "--p", "1", "--q"],
+    ["seq", "--p", "1", "--q", "1", "--kind", "vector"],
+    ["seq", "--p", "1"],
+    ["seq", "--h"],
+    ["-h"],
+    [],
+])
+def test_table_parse_declines_or_agrees(capsys, argv):
+    try:
+        _agrees(argv)
+    except SystemExit:  # argparse refused what the table parse accepted
+        pytest.fail(f"argparse refuses {argv}")
+
+
+@pytest.mark.parametrize("argv", [
+    "table",
+    "seq --p -2 --q 3 --a 3 --b -1 --from -80 --to 50 --kind scalar --seq lucas --format csv",
+    "binet --format csv --to 9 --q -1 --p 1",
+    "char 1/2,3,-4,5 --format csv",
+    "char --format csv -5",
+    "expand --p 1 --q 1 --terms 40",
+    "verify --suite cassini --audit --grid g",
+])
+def test_canonical_argv_is_parsed_by_the_table(argv):
+    found = parse_canonical(argv.split())
+    assert found is not None and found == vars(build_parser().parse_args(argv.split()))

@@ -117,7 +117,10 @@ class TestLazyExports:
 _FOOTPRINT = (
     "import sys\n"
     "from hybridseq.cli import main\n"
-    "main(sys.argv[1:])\n"
+    "try:\n"
+    "    main(sys.argv[1:])\n"
+    "except SystemExit:  # argparse's help and errors\n"
+    "    pass\n"
     "print('\\n' + ' '.join(sorted(sys.modules)))\n"
 )
 _PARAMS = ("--p", "1", "--q", "1", "--to", "3")
@@ -130,6 +133,7 @@ COMMANDS = {
     "verify": ("verify", "--suite", "cassini"),
 }
 HEAVY = {"hybridseq.binet", "hybridseq.genfunc", "hybridseq.identities"}
+PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
 def _loaded_by(argv: tuple[str, ...]) -> set[str]:
@@ -153,13 +157,22 @@ class TestImportFootprint:
         if "dataclasses" not in bare_modules:
             assert "dataclasses" not in _loaded_by(COMMANDS[command])
 
-
     @pytest.mark.parametrize("command", ["table", "seq", "binet", "expand", "verify"])
     def test_output_commands_skip_json(self, command, bare_modules):
         # their lines come from fixed templates; only char, verify --audit
         # and binet's stderr divergence line serialize with json
         if "json" not in bare_modules:
             assert "json" not in _loaded_by(COMMANDS[command])
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_success_path_skips_argparse(self, command, bare_modules):
+        # a well-formed command is read from the flag table; argparse (with
+        # gettext and locale) is only for help and errors
+        assert not (_loaded_by(COMMANDS[command]) - bare_modules) & PARSER_MODULES
+
+    @pytest.mark.parametrize("argv", [("seq", "--help"), ("seq", "--p", "x", "--q", "1")])
+    def test_help_and_errors_load_argparse(self, argv):
+        assert "argparse" in _loaded_by(argv)
 
 
 @pytest.fixture(scope="module")
