@@ -19,6 +19,8 @@ def run() -> None:
         code = main()
     except SystemExit as exc:  # argparse's help and errors
         code = exc.code
+    except BrokenPipeError:  # stdout's reader is gone: the code of a failed final flush
+        code = 120
     if type(code) is int:
         try:
             sys.stdout.flush()

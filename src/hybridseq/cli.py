@@ -35,9 +35,11 @@ TERM_CAP = 5_000  # expand: last series index
 # that a long window is a few system calls even when stdout is unbuffered.
 BLOCK = 1 << 16
 
-# One fixed template per output line; every field is an int or a rational
-# string of digits, "-" and "/", so no JSON escaping is ever needed.
+# One fixed template per output line; every field is an int, a float's repr,
+# a rational string of digits, "-" and "/", or a fixed ASCII name (suite,
+# verdict, variant label, sign class), so no JSON escaping is ever needed.
 _HYB = '{"s":"%s","i":"%s","e":"%s","h":"%s"}'
+_BOOL = ("false", "true")  # JSON's booleans, indexed by a bool
 _SEQ_LINES = {  # (kind, format) -> (header, line)
     ("scalar", "json"): ("", '{"n":%d,"value":"%s"}\n'),
     ("scalar", "csv"): ("n,value\n", "%d,%s\n"),
@@ -52,10 +54,20 @@ _EXPAND_LINES = {
     "json": ("", '{"r":%d,"coeff":' + _HYB + ',"matches_seq":%s}\n'),
     "csv": ("r,s,i,e,h,matches_seq\n", "%d,%s,%s,%s,%s,%s\n"),
 }
-_VERIFY_CASE = (
+_CHAR_LINES = {  # a float field is %r, which is what json.dumps writes
+    "json": ("", '{"character":"%s","norm_value":%r,"norm_class":"%s"}\n'),
+    "csv": ("character,norm_value,norm_class\n", "%s,%r,%s\n"),
+}
+# binet's stderr line, which leaves out a closed form with a value over the cap
+_DIVERGENCE = '{"n":%d,"error":"binet/recurrence divergence",%s"recurrence":' + _HYB + "}"
+_DIVERGENT_BINET = '"binet":' + _HYB + ","
+_CASE = (
     '{"identity":"%s","params":{"p":%d,"q":%d,"a":%d,"b":%d},"indices":[%s],'
-    '"extended":%s,"verdict":"%s"}\n'
+    '"extended":%s,"verdict":"%s"'
 )
+_VERIFY_CASE = _CASE + "}\n"
+_VERIFY_AUDIT = _CASE + ',"lhs":' + _HYB + ',"variants":[%s]}\n'
+_VERIFY_VARIANT = '{"label":"%s","authoritative":%s,"pass":%s,"value":' + _HYB + "}"
 _VERIFY_SUMMARY = (
     '{"summary":{"suite":"%s","cases":%d,"verdicts":{"pass":%d,'
     '"printed-fails-variant-passes":%d,"all-fail":%d},"extended_cases":%d,'
@@ -68,11 +80,12 @@ _VERIFY_CSV = (
 
 
 class _Blocks:
-    """Lines for stdout, written in blocks of BLOCK characters (the last
-    one shorter), one ``write`` call per block."""
+    """The one stdout writer: lines written in blocks of BLOCK characters
+    (the last one shorter), one ``write`` call per block.  With file
+    descriptor 1 closed, Python sets sys.stdout to None and output is dropped."""
 
     def __init__(self) -> None:
-        self.write = sys.stdout.write
+        self.write = len if sys.stdout is None else sys.stdout.write  # len keeps nothing
         self.lines: list[str] = []
         self.size = 0
 
@@ -90,12 +103,6 @@ class _Blocks:
         if self.size:
             self.write("".join(self.lines))
         self.lines, self.size = [], 0
-
-
-def _jline(obj: dict) -> str:
-    import json  # only char, verify --audit and binet's stderr line need it
-
-    return json.dumps(obj, separators=(",", ":"))
 
 
 def _over_cap(value: int | Fraction) -> bool:
@@ -144,72 +151,59 @@ def _rendered(values: list, start: int, width: int):
         del texts[0]
 
 
-def cmd_table(args: Namespace) -> int:
+def cmd_table(args: Namespace, out: _Blocks) -> int:
     cells = [[format_basis_product(z) for z in row] for row in basis_table()]
     rows = [["×", *BASIS_LABELS]]
     rows += [[BASIS_LABELS[k], *cells[k]] for k in range(4)]
     width = max(len(cell) for row in rows for cell in row) + 2
     for row in rows:
-        print("".join(cell.ljust(width) for cell in row).rstrip())
+        out("".join(cell.ljust(width) for cell in row).rstrip() + "\n")
     return 0
 
 
-def cmd_seq(args: Namespace) -> int:
+def cmd_seq(args: Namespace, out: _Blocks) -> int:
     width = 1 if args.kind == "scalar" else 4
     values = _window(args, width)[1]
     header, line = _SEQ_LINES[args.kind, args.format]
-    out = _Blocks()
     out(header)
     for row in _rendered(values, args.start, width):
         out(line % row)
-    out.flush()
     return 0
 
 
-def cmd_binet(args: Namespace) -> int:
+def cmd_binet(args: Namespace, out: _Blocks) -> int:
     from . import binet
 
     params, values = _window(args, 4)
     closed = binet.binet_window(binet.make_context(params), args.start, args.stop)
     header, line = _BINET_LINES[args.format]
-    out = _Blocks()
     out(header)
     divergence = False
     for k, (row, value) in enumerate(zip(_rendered(values, args.start, 4), closed)):
         if value != tuple(values[k : k + 4]):  # say why: both hybrids, unless over the cap
-            why = {"n": row[0], "error": "binet/recurrence divergence"}
-            if not any(map(_over_cap, value)):  # the recurrence window is checked
-                why["binet"] = value.to_json_dict()
-            why["recurrence"] = dict(zip(HybridNumber._fields, row[1:]))
+            over = any(map(_over_cap, value))  # the recurrence window is checked already
+            shown = "" if over else _DIVERGENT_BINET % tuple(map(format_rational, value))
             out.flush()  # the lines before it go out first
-            print(_jline(why), file=sys.stderr)
+            print(_DIVERGENCE % (row[0], shown, *row[1:]), file=sys.stderr)
             divergence = True
             continue
         out(line % row)
-    out.flush()
     return VERIFY_ERROR if divergence else 0
 
 
-def cmd_char(args: Namespace) -> int:
+def cmd_char(args: Namespace, out: _Blocks) -> int:
     components = [parse_rational(tok) for tok in args.components.split(",")]
     if len(components) != 4:
         raise ValueError("expected four comma-separated rationals: s,i,e,h")
     z = HybridNumber(*components)
     norm = z.norm()
-    payload = {
-        "character": format_rational(z.character()),
-        "norm_value": norm.value,
-        "norm_class": norm.sign_class,
-    }
-    if args.format == "csv":
-        print("character,norm_value,norm_class")
-        print(f"{payload['character']},{norm.value},{norm.sign_class}")
-    else:
-        print(_jline(payload))
+    header, line = _CHAR_LINES[args.format]
+    out(header)
+    out(line % (format_rational(z.character()), norm.value, norm.sign_class))
     return 0
 
 
-def cmd_expand(args: Namespace) -> int:
+def cmd_expand(args: Namespace, out: _Blocks) -> int:
     from . import genfunc
 
     params = sequences.HoradamParams(args.p, args.q, args.a, args.b)
@@ -221,18 +215,16 @@ def cmd_expand(args: Namespace) -> int:
         if any(map(_over_cap, coeff)):
             raise _cap_error(f"r={r}")
     header, line = _EXPAND_LINES[args.format]
-    out = _Blocks()
     out(header)
     for r, (coeff, match) in enumerate(zip(coeffs, report.matches)):
-        out(line % (r, *map(format_rational, coeff), "true" if match else "false"))
-    out.flush()
+        out(line % (r, *map(format_rational, coeff), _BOOL[match]))
     return 0 if report.ok else VERIFY_ERROR
 
 
 def _case_fields(report: VerificationReport, sep: str) -> tuple:
     case = report.case
     return (case.name, *case.params, sep.join(map(str, case.indices)),
-            "true" if case.extended else "false", report.verdict)
+            _BOOL[case.extended], report.verdict)
 
 
 def _printed_values(report: VerificationReport, audit: bool) -> tuple[HybridNumber, ...]:
@@ -255,17 +247,14 @@ def _csv_line(report: VerificationReport) -> str:
 
 
 def _audit_line(report: VerificationReport) -> str:
-    case = report.case
     lhs, *values = _printed_values(report, audit=True)
-    variants = [{"label": v.label, "authoritative": v.authoritative, "pass": v.passed,
-                 "value": value.to_json_dict()} for v, value in zip(report.variants, values)]
-    return _jline({"identity": case.name, "params": case.params._asdict(),
-                   "indices": list(case.indices), "extended": case.extended,
-                   "verdict": report.verdict, "lhs": lhs.to_json_dict(),
-                   "variants": variants}) + "\n"
+    variants = ",".join(_VERIFY_VARIANT % (v.label, _BOOL[v.authoritative], _BOOL[v.passed],
+                                           *map(format_rational, value))
+                        for v, value in zip(report.variants, values))
+    return _VERIFY_AUDIT % (*_case_fields(report, ","), *map(format_rational, lhs), variants)
 
 
-def cmd_verify(args: Namespace) -> int:
+def cmd_verify(args: Namespace, out: _Blocks) -> int:
     from . import identities
 
     if args.audit and args.format == "csv":
@@ -284,11 +273,10 @@ def cmd_verify(args: Namespace) -> int:
         )
     held: list[str] = []
     if args.format == "json" and not args.audit:  # verdicts only: each line goes out at once
-        emit, render = sys.stdout.write, _plain_line
+        emit, render = out.write, _plain_line
     else:  # lines with values are held to the end, so an over-cap value stops the run first
         emit, render = held.append, _csv_line if args.format == "csv" else _audit_line
     result = identities.run_suite(config, args.suite, sink=lambda report: emit(render(report)))
-    out = _Blocks()
     if args.format == "csv":
         out(_VERIFY_CSV[0])
     for text in held:
@@ -296,8 +284,7 @@ def cmd_verify(args: Namespace) -> int:
     counts, extended, extended_failures, gate = result.tally()
     if args.format == "json":
         out(_VERIFY_SUMMARY % (result.suite, result.cases, *counts.values(), extended,
-                               extended_failures, "true" if gate else "false"))
-    out.flush()
+                               extended_failures, _BOOL[gate]))
     return 0 if gate else VERIFY_ERROR
 
 
@@ -436,8 +423,13 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     found = parse_canonical(argv)
     args = build_parser().parse_args(argv) if found is None else SimpleNamespace(**found)
+    out = _Blocks()
     try:
-        return args.func(args)
+        code = args.func(args, out)
+        out.flush()  # only after a normal return: an error line comes with no held output
+        return code
+    except BrokenPipeError:  # stdout's reader is gone: no usage error, and no line for it
+        raise
     except (ValueError, OSError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -63,6 +63,18 @@ GOLDEN_DIGESTS = {
     # with Fraction values at the extended (negative) indices
     "verify --audit":
         "0ef1fc18ee74d34352d4e8f4b3469f137e5d58a81e9d1519546aa9d13f4b0d05",
+    # recorded while char still wrote through json.dumps and print: a float
+    # field, magnitudes near both ends of the float range, and csv
+    "char 1,2,3,4":
+        "f2a1a4a5a4a6de97a648cb01660c953ecee5b591461b1c71ca227aa5f9a60001",
+    "char 1/3,-2,0.5,7 --format csv":
+        "639ddf73217e2dfaf10b1e5211695295faeed91522db1d6bf57fb7da5a819320",
+    "char 1e300,0,0,0":
+        "07be1faaa983e76d97cfe41ad5d3aa1ed274865eda4130d0317cc1c8ded49ff5",
+    "char 1e-200,0,0,0":
+        "3b7a77d795ea725c36ac3ad4ea13c3055a92f26e906949e1f23951355b115c82",
+    "char 0,1,1,0 --format csv":
+        "3739327a07c4ba0d95b2daa6b059add3934fffee0d4da2398e6a607bb969d019",
 }
 
 
@@ -181,6 +193,11 @@ class TestBinet:
             "binet": (recurrence + HybridNumber(0, 0, 1, 0)).to_json_dict(),
             "recurrence": recurrence.to_json_dict(),
         }]
+        assert err == (  # the exact bytes, recorded while the line came from json.dumps
+            '{"n":37,"error":"binet/recurrence divergence",'
+            '"binet":{"s":"-336787691","i":"-809473642","e":"-608584210","h":"1211252504"},'
+            '"recurrence":{"s":"-336787691","i":"-809473642","e":"-608584211","h":"1211252504"}}\n'
+        )
         assert [json.loads(line)["n"] for line in out.splitlines()] == [
             n for n in range(-20, 61) if n != 37
         ]
@@ -201,6 +218,10 @@ class TestBinet:
             "n": 5, "error": "binet/recurrence divergence",
             "recurrence": recurrence.to_json_dict(),
         }]
+        assert err == (  # the exact bytes, recorded while the line came from json.dumps
+            '{"n":5,"error":"binet/recurrence divergence",'
+            '"recurrence":{"s":"5","i":"8","e":"13","h":"21"}}\n'
+        )
         assert [json.loads(line)["n"] for line in out.splitlines()] == [
             n for n in range(10) if n != 5
         ]
@@ -718,6 +739,44 @@ class TestEntryPoint:
             plain.returncode, plain.stdout, plain.stderr
         )
         assert run.returncode == 120 and "BrokenPipeError" in run.stderr
+
+    @pytest.mark.parametrize("argv", [
+        "table", "seq --p 1 --q 1", "binet --p 1 --q 1", "char 1,2,3,4",
+        "expand --p 1 --q 1", "verify --suite cassini",
+    ])
+    def test_closed_stdout_drops_the_output(self, argv):
+        # with file descriptor 1 closed Python sets sys.stdout to None: the
+        # command still runs and exits as usual, and writes nowhere
+        proc = subprocess.run(["sh", "-c", f'exec "$0" -m hybridseq {argv} >&-', sys.executable],
+                              capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @pytest.mark.parametrize("unbuffered", ["1", None])
+    @pytest.mark.parametrize("argv,code,err", [
+        ("seq --p 1 --q 1 --to 20000", 120, None),  # a write fails mid-window
+        ("table", 120, None),  # short: with stdout buffered, the final flush fails
+        ("verify", 120, None),  # a streamed case line fails
+        ("verify --grid /nonexistent", 2, "error: [Errno 2] No such file or directory"),
+    ])
+    def test_a_gone_reader_ends_with_exit_120(self, unbuffered, argv, code, err):
+        # stdout is a pipe whose read end is closed before the child starts:
+        # every write to it fails with EPIPE, which is no usage error
+        env = _buffered_env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "hybridseq", *argv.split()],
+                                  stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if err is None:
+            assert "error:" not in proc.stderr
+        else:
+            assert proc.stderr.startswith(err) and proc.stderr.count("\n") == 1
 
     def test_console_script_runs_the_module_entry_point(self):
         text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
