@@ -10,8 +10,10 @@ def run() -> None:
     """Run ``cli.main`` with the cyclic collector off, then flush stdout and
     stderr and end the process at once: the output is all written, so the
     interpreter's teardown (atexit handlers, module clean-up, the shutdown
-    collections) would only free memory the exit frees anyway.  If a flush
-    fails, the process exits the normal way, which reports it as before."""
+    collections) would only free memory the exit frees anyway.  A reader of
+    stdout that is gone ends the run with exit 120 and nothing on stderr,
+    whether ``main`` or the final flush finds it.  If another flush fails,
+    the process exits the normal way, which reports it as before."""
     gc.disable()  # a run makes no cyclic garbage worth a pass
     from .cli import main  # imported with the collector already off
 
@@ -19,11 +21,14 @@ def run() -> None:
         code = main()
     except SystemExit as exc:  # argparse's help and errors
         code = exc.code
-    except BrokenPipeError:  # stdout's reader is gone: the code of a failed final flush
+    except BrokenPipeError:  # stdout's reader is gone
         code = 120
     if type(code) is int:
         try:
-            sys.stdout.flush()
+            try:
+                sys.stdout.flush()
+            except BrokenPipeError:  # the reader left before the last block: as above
+                code = 120
             sys.stderr.flush()
         except (AttributeError, OSError, ValueError):  # no stream, a write error, a closed file
             pass

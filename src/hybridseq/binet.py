@@ -11,7 +11,8 @@ conjugates of A, α and α^m, so if A·α^m = x + y·s, then J_m = 2·y·s/s = 2
 rational by construction.  :func:`binet_window` reaches A·α^lo = (X + Y·s)/den
 by one power, then multiplies by α = (p + s)/2 on integers:
 (X, Y, den) → (p·X + D·Y, X + p·Y, 2·den).  The context also carries the
-constants of the product/square lemmas and of the identity right-hand sides.
+constants of the product/square lemmas, whose four rational hybrids
+(:func:`lemma_hybrids`) the identity right-hand sides read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exactarith import QuadExt, _rational, roots
+from .exactarith import QuadExt, _numerators, _rational, roots
 from .hybrid import HybridNumber
 from .sequences import HoradamParams, SeqCache, fib_params, lucas_params
 
@@ -46,7 +47,7 @@ class BinetContext(namedtuple("BinetContext", (
 
 def make_context(params: HoradamParams) -> BinetContext:
     """Populate every closed-form constant for the given parameters."""
-    p, q, a, b = params.p, params.q, params.a, params.b
+    p, q, a, b = params
     alpha, beta = roots(p, q)
     alpha_hybrid = HybridNumber(QuadExt(1, 0, alpha.d), alpha, alpha**2, alpha**3)
     beta_hybrid = HybridNumber(QuadExt(1, 0, beta.d), beta, beta**2, beta**3)
@@ -61,7 +62,7 @@ def make_context(params: HoradamParams) -> BinetContext:
         beta_hybrid=beta_hybrid,
         alpha_weight=b - beta * a,
         beta_weight=b - alpha * a,
-        weight_product=b * b - p * a * b - q * a * a,
+        weight_product=params.weight_product,
         cross_shift=q**3 + p * q - q + 1,
         omega=HybridNumber(0, 1 - p, -q, p * p + q + 1),
         square_lucas_shift=-1 + Fraction(p, 2) * fib_sum + q * (f[5] + 2 * f[2] - f[1]),
@@ -80,7 +81,7 @@ def binet_window(ctx: BinetContext, lo: int, hi: int) -> list[HybridNumber]:
     """[HJ_lo, …, HJ_hi] from one power of α and integer steps."""
     p, d = ctx.params.p, ctx.disc
     start = ctx.alpha_weight * ctx.alpha**lo
-    x, y, den = start._x, start._y, start._den
+    (x, y), den = _numerators((start.x, start.y))
     values = []
     for _ in range(hi - lo + 4):
         values.append(_rational(2 * y, den))
@@ -103,45 +104,41 @@ def binet_lucas(ctx: BinetContext, n: int) -> HybridNumber:
     return binet_horadam(ctx._replace(alpha_weight=QuadExt(0, 1, ctx.disc)), n)
 
 
-def _checked(direct: HybridNumber, closed: HybridNumber, label: str) -> HybridNumber:
+def lemma_hybrids(ctx: BinetContext) -> tuple[HybridNumber, ...]:
+    """(HL₀ − cross_shift, HF₀ − omega, HL₀ + square_lucas_shift,
+    HF₀ + square_fib_shift): the rational hybrids of the product and square
+    lemmas, checked below and read by the identity right sides."""
+    scalar = HybridNumber.from_scalar
+    return (ctx.lucas0 - scalar(ctx.cross_shift), ctx.fib0 - ctx.omega,
+            ctx.lucas0 + scalar(ctx.square_lucas_shift), ctx.fib0 + scalar(ctx.square_fib_shift))
+
+
+def _checked(ctx: BinetContext, direct: HybridNumber, first: int, factor: int,
+             label: str) -> HybridNumber:
+    """``direct``, checked against base + factor·(α−β)·swing with (base, swing)
+    the lemma hybrids from index ``first``."""
+    base, swing = lemma_hybrids(ctx)[first : first + 2]
+    closed = lift(base, ctx.disc) + lift(swing, ctx.disc).scale(QuadExt(0, factor, ctx.disc))
     if direct != closed:
         raise LemmaMismatchError(f"{label}: direct product {direct} != closed form {closed}")
     return direct
 
 
-def _cross_closed(ctx: BinetContext, sign: int) -> HybridNumber:
-    base = lift(ctx.lucas0 - HybridNumber.from_scalar(ctx.cross_shift), ctx.disc)
-    swing = lift(ctx.fib0 - ctx.omega, ctx.disc)
-    factor = QuadExt(0, sign * ctx.params.q, ctx.disc)  # ±q·(α−β)
-    return base + swing.scale(factor)
-
-
 def product_alphabar_betabar(ctx: BinetContext) -> HybridNumber:
     """α̲·β̲, checked against (HL₀ − cross_shift) + q(α−β)(HF₀ − omega)."""
-    direct = ctx.alpha_hybrid * ctx.beta_hybrid
-    return _checked(direct, _cross_closed(ctx, +1), "α̲·β̲")
+    return _checked(ctx, ctx.alpha_hybrid * ctx.beta_hybrid, 0, ctx.params.q, "α̲·β̲")
 
 
 def product_betabar_alphabar(ctx: BinetContext) -> HybridNumber:
     """β̲·α̲, checked against (HL₀ − cross_shift) − q(α−β)(HF₀ − omega)."""
-    direct = ctx.beta_hybrid * ctx.alpha_hybrid
-    return _checked(direct, _cross_closed(ctx, -1), "β̲·α̲")
-
-
-def _square_closed(ctx: BinetContext, sign: int) -> HybridNumber:
-    base = lift(ctx.lucas0 + HybridNumber.from_scalar(ctx.square_lucas_shift), ctx.disc)
-    swing = lift(ctx.fib0 + HybridNumber.from_scalar(ctx.square_fib_shift), ctx.disc)
-    return base + swing.scale(QuadExt(0, sign, ctx.disc))
+    return _checked(ctx, ctx.beta_hybrid * ctx.alpha_hybrid, 0, -ctx.params.q, "β̲·α̲")
 
 
 def alphabar_squared(ctx: BinetContext) -> HybridNumber:
     """α̲², checked against (HL₀ + r) + (α−β)(HF₀ + s) with the context shifts."""
-    direct = ctx.alpha_hybrid * ctx.alpha_hybrid
-    return _checked(direct, _square_closed(ctx, +1), "α̲²")
+    return _checked(ctx, ctx.alpha_hybrid * ctx.alpha_hybrid, 2, +1, "α̲²")
 
 
 def betabar_squared(ctx: BinetContext) -> HybridNumber:
     """β̲², checked against (HL₀ + r) − (α−β)(HF₀ + s) with the context shifts."""
-    direct = ctx.beta_hybrid * ctx.beta_hybrid
-    return _checked(direct, _square_closed(ctx, -1), "β̲²")
-
+    return _checked(ctx, ctx.beta_hybrid * ctx.beta_hybrid, 2, -1, "β̲²")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -83,6 +83,12 @@ def _rational(num: int, den: int) -> int | Fraction:
     return q if r == 0 else Fraction(num, den)
 
 
+def _numerators(values) -> tuple[list[int], int]:
+    """int/Fraction values as integer numerators over their lcm: (nums, den)."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 class QuadExt:
     """Element x + y·s of Q[s]/(s²−D) for a fixed nonzero integer D.
 
@@ -102,12 +108,8 @@ class QuadExt:
             raise ValueError("discriminant D must be nonzero")
         if type(x) is int and type(y) is int:
             num_x, num_y, den = x, y, 1
-        else:
-            x, y = Fraction(x), Fraction(y)
-            dx, dy = x.denominator, y.denominator
-            den = dx * dy // gcd(dx, dy)
-            # x and y are reduced, so gcd(X, Y, lcm) is already 1
-            num_x, num_y = x.numerator * (den // dx), y.numerator * (den // dy)
+        else:  # x and y are reduced, so gcd(X, Y, lcm) is already 1
+            (num_x, num_y), den = _numerators((Fraction(x), Fraction(y)))
         _set_x(self, num_x)
         _set_y(self, num_y)
         _set_den(self, den)

@@ -3,10 +3,15 @@
 Each identity is a table row with two independent sides.  The left side is
 data, the keys of two products of recurrence windows, read only through
 :meth:`Evaluator.prod`.  The right side is a function of scalar sequence
-values (:meth:`Evaluator.scalar`) and constant hybrids (``Evaluator.pq``,
-the :class:`~hybridseq.binet.BinetContext`) alone.  So a bug in one side
-cannot silently validate the other; ``TestIndependence`` in
-``tests/test_identities.py`` enforces this rule on every row.
+values (:meth:`Evaluator.scalar`), the constant hybrids of its (p, q)
+(``Evaluator.pq``, binet's lemma hybrids) and the parameter set J alone.
+So a bug in one side cannot silently validate the other;
+``TestIndependence`` in ``tests/test_identities.py`` enforces this rule on
+every row.
+
+Every verifier is made from its row, as ``name(params, *indices,
+extended=False, ev=None)``; a ``BinetContext`` is read through its
+``params``, and only a row with extended probes takes ``extended=True``.
 
 Both sides are pairs (N, den) standing for N/den, N a hybrid with ``int``
 components and den a positive ``int``.  The left side multiplies and
@@ -29,12 +34,11 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations_with_replacement, product
-from math import lcm
 from threading import Lock
 
 from . import SUITES
-from .binet import BinetContext, make_context
-from .exactarith import _rational, parse_integer
+from .binet import lemma_hybrids, make_context
+from .exactarith import _numerators, _rational, parse_integer
 from .hybrid import HybridNumber
 from .sequences import HoradamParams, SeqCache, fib_params, lucas_params
 
@@ -79,8 +83,8 @@ _hybrid = partial(tuple.__new__, HybridNumber)  # from four components, unchecke
 
 def _scaled(values) -> tuple[HybridNumber, int]:
     """Four int/Fraction components as (N, den), N/den equal to them."""
-    den = lcm(*(v.denominator for v in values))
-    return _hybrid(v.numerator * (den // v.denominator) for v in values), den
+    nums, den = _numerators(values)
+    return _hybrid(nums), den
 
 
 def _value(pair) -> HybridNumber:
@@ -153,11 +157,9 @@ class _Lookups:
 _hyb, _prod = _Lookups(), _Lookups()
 
 
-def _rhs_consts(p: int, q: int) -> tuple[HybridNumber, HybridNumber, HybridNumber, HybridNumber]:
-    """(HL₀ − cross_shift, HF₀ − omega, HL₀ + r-shift, HF₀ + s-shift)."""
-    ctx, scalar = make_context(fib_params(p, q)), HybridNumber.from_scalar
-    return (ctx.lucas0 - scalar(ctx.cross_shift), ctx.fib0 - ctx.omega,
-            ctx.lucas0 + scalar(ctx.square_lucas_shift), ctx.fib0 + scalar(ctx.square_fib_shift))
+def _rhs_consts(p: int, q: int) -> tuple[HybridNumber, ...]:
+    """binet's four lemma hybrids of (p, q), the ones its lemma checks check."""
+    return lemma_hybrids(make_context(fib_params(p, q)))
 
 
 def _neg_q_pow(q: int, n: int) -> int | Fraction:
@@ -223,61 +225,58 @@ class Evaluator:
         return pair
 
 
-# --- the right sides: rhs(ev, unit, *indices) -> (printed, corrected or None,
-# label), reading only ev.scalar, ev.pq and the unit (a context, or params) ---
+# --- the right sides: rhs(ev, J, *indices) -> (printed, corrected or None,
+# label), reading only ev.scalar, ev.pq and the parameter set J ---
 
 
-def _catalan_rhs(ev, ctx, m, r):
-    pq, q = ev.pq[ctx.params[:2]], ctx.params.q
-    outer = (-ctx.weight_product, _neg_q_pow(q, m), ev.scalar(pq.fibs, -r))
+def _catalan_rhs(ev, J, m, r):
+    pq = ev.pq[J[:2]]
+    outer = (-J.weight_product, _neg_q_pow(J.q, m), ev.scalar(pq.fibs, -r))
     return _rhs((pq.lucas_shifted, ev.scalar(pq.fibs, r), *outer),
-                (pq.fib_shifted, q, ev.scalar(pq.lucs, r), *outer)), None, ""
+                (pq.fib_shifted, J.q, ev.scalar(pq.lucs, r), *outer)), None, ""
 
 
-def _cassini_rhs(ev, ctx, m):
-    (p, q), pq = ctx.params[:2], ev.pq[ctx.params[:2]]
-    outer = (ctx.weight_product, _neg_q_pow(q, m - 1))
-    rhs = _rhs((pq.lucas_shifted, *outer), (pq.fib_shifted, p * q, *outer))
-    if not _same(rhs, _catalan_rhs(ev, ctx, m, 1)[0]):
+def _cassini_rhs(ev, J, m):
+    pq = ev.pq[J[:2]]
+    outer = (J.weight_product, _neg_q_pow(J.q, m - 1))
+    rhs = _rhs((pq.lucas_shifted, *outer), (pq.fib_shifted, J.p * J.q, *outer))
+    if not _same(rhs, _catalan_rhs(ev, J, m, 1)[0]):
         raise ArithmeticError(f"cassini RHS disagrees with catalan RHS at r=1 for m={m}")
     return rhs, None, ""
 
 
-def _docagne_rhs(ev, ctx, r, m):
-    pq, q = ev.pq[ctx.params[:2]], ctx.params.q
-    outer = (_neg_q_pow(q, m), ctx.weight_product)
+def _docagne_rhs(ev, J, r, m):
+    pq = ev.pq[J[:2]]
+    outer = (_neg_q_pow(J.q, m), J.weight_product)
     return _rhs((pq.lucas_shifted, ev.scalar(pq.fibs, r - m), *outer),
-                (pq.fib_shifted, q, ev.scalar(pq.lucs, r - m), *outer)), None, ""
+                (pq.fib_shifted, J.q, ev.scalar(pq.lucs, r - m), *outer)), None, ""
 
 
-def _adjacent_rhs(ev, ctx, r):
-    pq, q = ev.pq[ctx.params[:2]], ctx.params.q
-    return _rhs((pq.fib_shifted, 2, _neg_q_pow(q, r + 1), ctx.weight_product)), None, ""
+def _adjacent_rhs(ev, J, r):
+    return _rhs((ev.pq[J[:2]].fib_shifted, 2, _neg_q_pow(J.q, r + 1), J.weight_product)), None, ""
 
 
-def _exchange_rhs(ev, params, n, r, s):
-    pq = ev.pq[params[:2]]
-    term = (pq.lucas_shifted, 2, _neg_q_pow(params.q, n + r), ev.scalar(pq.fibs, s - r))
+def _exchange_rhs(ev, J, n, r, s):
+    pq = ev.pq[J[:2]]
+    term = (pq.lucas_shifted, 2, _neg_q_pow(J.q, n + r), ev.scalar(pq.fibs, s - r))
     return _rhs(term), None, ""
 
 
-def _square_rhs(ev, params, n):
-    pq, disc = ev.pq[params[:2]], params.discriminant
+def _square_rhs(ev, J, n):
+    pq, disc = ev.pq[J[:2]], J.discriminant
     f2n = ev.scalar(pq.fibs, 2 * n)
     lucas_term = (pq.lucas_sq, Fraction(disc - 1, disc), ev.scalar(pq.lucs, 2 * n))
-    cross_term = (pq.lucas_shifted, 2, Fraction(disc + 1, disc), _neg_q_pow(params.q, n))
+    cross_term = (pq.lucas_shifted, 2, Fraction(disc + 1, disc), _neg_q_pow(J.q, n))
     return (_rhs(lucas_term, (pq.fib_sq, f2n), cross_term),
             _rhs(lucas_term, (pq.fib_sq, disc - 1, f2n), cross_term), "proof-form")
 
 
-def _horadam_rhs(ev, ctx, n, m):
-    J = ctx.params
+def _horadam_rhs(ev, J, n, m):
     printed = _rhs((ev.pq[J[:2]].fib_shifted, 2, _neg_q_pow(J.q, n + 1), ev.scalar(J, m - n)))
     return printed, (-printed[0], printed[1]), "proof-form"
 
 
-def _diag_rhs(ev, ctx, n):
-    J = ctx.params
+def _diag_rhs(ev, J, n):
     printed = _rhs((ev.pq[J[:2]].fib_shifted, 2, J.a, _neg_q_pow(J.q, n + 1)))
     return printed, (-printed[0], printed[1]), "sign-corrected"
 
@@ -348,21 +347,21 @@ _SUITE_TABLE = {
 }
 
 
-# --- the identities: each runs its row through the one report builder; it
-# takes the run's Evaluator as ``ev``, and a direct call makes its own ---
+# --- the identities: one verifier per row, made by _verifier; each takes the
+# run's Evaluator as ``ev``, and a direct call makes its own ---
 
 
 def _build_report(name, unit, indices, ev, extended=False) -> VerificationReport:
-    """One case: domain check, both sides, verdict; a corrected variant is authoritative."""
+    """One case: domain check, both sides, verdict; a corrected variant is authoritative.
+    ``unit`` is a parameter set J, or a BinetContext, read through its ``params``."""
     row = _SUITE_TABLE[name]
     if not (extended or row.domain(*indices)):
         raise ValueError(row.domain_error)
     ev = ev or Evaluator()
-    J, F, L = ev.sets[unit if row.per_pq else unit.params]
-    params = F if row.per_pq else J  # a per-(p, q) case reports F
+    J, F, L = ev.sets[getattr(unit, "params", unit)]
     first, second = row.lhs(J, F, L, *indices)
     lhs = _lhs(ev.prod(*first), ev.prod(*second))
-    printed, corrected, label = row.rhs(ev, unit, *indices)
+    printed, corrected, label = row.rhs(ev, J, *indices)
     ok = _same(lhs, printed)
     if corrected is None:
         variants = (VariantResult("printed", printed, ok, True),)
@@ -372,68 +371,56 @@ def _build_report(name, unit, indices, ev, extended=False) -> VerificationReport
         variants = (VariantResult("printed", printed, ok, False),
                     VariantResult(label, corrected, fixed, True))
         verdict = VERDICT_PASS if ok else VERDICT_AUDIT if fixed else VERDICT_FAIL
-    return VerificationReport(IdentityCase(name, params, indices, extended), lhs, variants, verdict)
+    case = IdentityCase(name, F if row.per_pq else J, indices, extended)  # per (p, q): F
+    return VerificationReport(case, lhs, variants, verdict)
 
 
-def catalan(ctx: BinetContext, m: int, r: int, *, extended: bool = False,
-            ev: Evaluator | None = None) -> VerificationReport:
-    """HJ_m² − HJ_{m+r}·HJ_{m−r} against its closed form; domain m ≥ r ≥ 0."""
-    return _build_report("catalan", ctx, (m, r), ev, extended)
+def _verifier(name: str, doc: str) -> Callable[..., VerificationReport]:
+    """The public verifier of suite ``name``, ``verify(params, *indices,
+    extended=False, ev=None)``: its row through :func:`_build_report`.  Only
+    a row with extended probes takes ``extended=True``."""
+    row = _SUITE_TABLE[name]
+    arity, probing = row.rhs.__code__.co_argcount - 2, row.probes(0, 0) > 0  # rhs(ev, J, *indices)
+
+    def verify(params, *indices, extended: bool = False,
+               ev: Evaluator | None = None) -> VerificationReport:
+        if len(indices) != arity:
+            raise TypeError(f"{verify.__name__}() takes {arity} indices, {len(indices)} given")
+        if extended and not probing:
+            raise TypeError(f"{verify.__name__}() has no extended cases")
+        return _build_report(name, params, indices, ev, extended)
+
+    verify.__name__ = verify.__qualname__ = name.replace("-", "_")
+    verify.__doc__ = doc
+    return verify
 
 
-def cassini(ctx: BinetContext, m: int, *, extended: bool = False,
-            ev: Evaluator | None = None) -> VerificationReport:
-    """HJ_m² − HJ_{m+1}·HJ_{m−1} against its closed form; domain m ≥ 1.
+catalan = _verifier("catalan", """\
+HJ_m² − HJ_{m+r}·HJ_{m−r} against its closed form; domain m ≥ r ≥ 0.""")
+cassini = _verifier("cassini", """\
+HJ_m² − HJ_{m+1}·HJ_{m−1} against its closed form; domain m ≥ 1.
 
-    The right side must coincide with the catalan right side at r = 1
-    (they differ only by the F_{−1} = 1/q reduction); that consistency is
-    asserted on every call.
-    """
-    return _build_report("cassini", ctx, (m,), ev, extended)
+The right side must coincide with the catalan right side at r = 1
+(they differ only by the F_{−1} = 1/q reduction); that consistency is
+asserted on every call.""")
+docagne = _verifier("docagne", """\
+HJ_r·HJ_{m+1} − HJ_{r+1}·HJ_m against its closed form; any integers.""")
+adjacent_commutator = _verifier("adjacent-commutator", """\
+HJ_{r+1}·HJ_r − HJ_r·HJ_{r+1} = 2(−q)^{r+1}·A·B·(HF₀ − omega).""")
+lucas_fib_exchange = _verifier("lucas-fib-exchange", """\
+HL_{n+r}·HF_{n+s} − HL_{n+s}·HF_{n+r} = 2(−q)^{n+r}·F_{s−r}·(HL₀ − cross_shift).""")
+square_difference = _verifier("square-difference", """\
+HL_n² − HF_n², with the as-typeset and derivation-implied right sides.
 
+The typeset statement carries the F_{2n} term without the (p²+4q−1)
+factor that the derivation produces; both variants are evaluated.""")
+horadam_commutator = _verifier("horadam-commutator", """\
+HF_n·HJ_m − HJ_m·HF_n, printed and sign-flipped right sides.
 
-def docagne(ctx: BinetContext, r: int, m: int, *, extended: bool = False,
-            ev: Evaluator | None = None) -> VerificationReport:
-    """HJ_r·HJ_{m+1} − HJ_{r+1}·HJ_m against its closed form; any integers."""
-    return _build_report("docagne", ctx, (r, m), ev, extended)
-
-
-def adjacent_commutator(ctx: BinetContext, r: int, *,
-                        ev: Evaluator | None = None) -> VerificationReport:
-    """HJ_{r+1}·HJ_r − HJ_r·HJ_{r+1} = 2(−q)^{r+1}·A·B·(HF₀ − omega)."""
-    return _build_report("adjacent-commutator", ctx, (r,), ev)
-
-
-def lucas_fib_exchange(params: HoradamParams, n: int, r: int, s: int, *,
-                       ev: Evaluator | None = None) -> VerificationReport:
-    """HL_{n+r}·HF_{n+s} − HL_{n+s}·HF_{n+r} = 2(−q)^{n+r}·F_{s−r}·(HL₀ − cross_shift)."""
-    return _build_report("lucas-fib-exchange", params, (n, r, s), ev)
-
-
-def square_difference(params: HoradamParams, n: int, *,
-                      ev: Evaluator | None = None) -> VerificationReport:
-    """HL_n² − HF_n², with the as-typeset and derivation-implied right sides.
-
-    The typeset statement carries the F_{2n} term without the (p²+4q−1)
-    factor that the derivation produces; both variants are evaluated.
-    """
-    return _build_report("square-difference", params, (n,), ev)
-
-
-def horadam_commutator(ctx: BinetContext, n: int, m: int, *,
-                       ev: Evaluator | None = None) -> VerificationReport:
-    """HF_n·HJ_m − HJ_m·HF_n, printed and sign-flipped right sides.
-
-    The typeset statement reads 2(−q)^{n+1}·J_{m−n}·(HF₀ − omega); the
-    derivation yields its negative.  Domain m ≥ n ≥ 0.
-    """
-    return _build_report("horadam-commutator", ctx, (n, m), ev)
-
-
-def diag_commutator(ctx: BinetContext, n: int, *,
-                    ev: Evaluator | None = None) -> VerificationReport:
-    """HF_n·HJ_n − HJ_n·HF_n, printed and sign-corrected right sides."""
-    return _build_report("diag-commutator", ctx, (n,), ev)
+The typeset statement reads 2(−q)^{n+1}·J_{m−n}·(HF₀ − omega); the
+derivation yields its negative.  Domain m ≥ n ≥ 0.""")
+diag_commutator = _verifier("diag-commutator", """\
+HF_n·HJ_n − HJ_n·HF_n, printed and sign-corrected right sides.""")
 
 
 # --- grid configuration and the suite runner ---
@@ -592,8 +579,6 @@ def run_suite(config: GridConfig | None = None, suite: str = "all",
     names = _suite_names(suite)
     param_sets = grid_param_sets(config)
     fibs = [fib_params(*pair) for pair in dict.fromkeys((ps.p, ps.q) for ps in param_sets)]
-    per_params = not all(_SUITE_TABLE[name].per_pq for name in names)
-    contexts = [make_context(params) for params in param_sets] if per_params else []
     ev = Evaluator()
     result = SuiteResult(suite=suite)
     tally, emit = result.add, result.reports.append if sink is None else sink
@@ -602,11 +587,10 @@ def run_suite(config: GridConfig | None = None, suite: str = "all",
             row = _SUITE_TABLE[name]
             verify = globals()[name.replace("-", "_")]  # so that a rebinding reaches it
             cases = [(idx, min(idx) < 0) for idx in row.indices(config.nmax, config.rmax)]
-            for unit in fibs if row.per_pq else contexts:
+            for unit in fibs if row.per_pq else param_sets:
                 ev._prods.clear()
                 for indices, extended in cases:
-                    report = (verify(unit, *indices, extended=True, ev=ev) if extended
-                              else verify(unit, *indices, ev=ev))
+                    report = verify(unit, *indices, extended=extended, ev=ev)
                     tally(report)
                     emit(report)
     finally:  # each product made read two HJ_n, and each HJ_n is kept

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 
-from .exactarith import _rational, roots
+from .exactarith import _numerators, _rational, roots
 from .hybrid import HybridNumber
 
 SEQ_KINDS = ("fib", "lucas", "horadam")
@@ -40,6 +39,11 @@ class HoradamParams(namedtuple("HoradamParams", "p q a b")):
     @property
     def discriminant(self) -> int:
         return self.p * self.p + 4 * self.q
+
+    @property
+    def weight_product(self) -> int:
+        """b² − p·a·b − q·a², the product A·B of the closed-form weights."""
+        return self.b * self.b - self.p * self.a * self.b - self.q * self.a * self.a
 
 
 def fib_params(p: int, q: int) -> HoradamParams:
@@ -134,8 +138,7 @@ class SeqCache:
 
     def _anchor(self, n: int) -> None:
         x0, x1 = _seek(self.params, n)
-        den = lcm(x0.denominator, x1.denominator)
-        num0, num1 = x0.numerator * (den // x0.denominator), x1.numerator * (den // x1.denominator)
+        (num0, num1), den = _numerators((x0, x1))
         self._memo[n], self._memo[n + 1] = x0, x1
         self._lo, self._hi = n, n + 1
         self._back = self._fwd = (num0, num1, den)  # (X_k, X_{k+1}) · den, den

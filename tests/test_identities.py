@@ -252,6 +252,87 @@ class TestDiagCommutator:
         assert next(v for v in report.variants if v.authoritative).passed
 
 
+class TestVerifierContract:
+    """What a caller of the eight public verifiers may rely on: their names
+    and docstrings, where ``extended=True`` is refused, and the text of each
+    domain error."""
+
+    # public name -> (its docstring's first line, in-domain indices,
+    # out-of-domain indices and the domain error, or None when it has none)
+    VERIFIERS = {
+        "catalan": ("HJ_m² − HJ_{m+r}·HJ_{m−r} against its closed form; domain m ≥ r ≥ 0.",
+                    (2, 1), ((1, 2), "catalan requires m >= r >= 0")),
+        "cassini": ("HJ_m² − HJ_{m+1}·HJ_{m−1} against its closed form; domain m ≥ 1.",
+                    (1,), ((0,), "cassini requires m >= 1")),
+        "docagne": ("HJ_r·HJ_{m+1} − HJ_{r+1}·HJ_m against its closed form; any integers.",
+                    (0, 0), None),
+        "adjacent_commutator": (
+            "HJ_{r+1}·HJ_r − HJ_r·HJ_{r+1} = 2(−q)^{r+1}·A·B·(HF₀ − omega).",
+            (0,), ((-1,), "adjacent commutator requires r >= 0")),
+        "lucas_fib_exchange": (
+            "HL_{n+r}·HF_{n+s} − HL_{n+s}·HF_{n+r} = 2(−q)^{n+r}·F_{s−r}·(HL₀ − cross_shift).",
+            (0, 0, 1), None),
+        "square_difference": (
+            "HL_n² − HF_n², with the as-typeset and derivation-implied right sides.",
+            (1,), ((-1,), "square difference requires n >= 0")),
+        "horadam_commutator": ("HF_n·HJ_m − HJ_m·HF_n, printed and sign-flipped right sides.",
+                               (0, 1), ((2, 1), "horadam commutator requires m >= n >= 0")),
+        "diag_commutator": ("HF_n·HJ_n − HJ_n·HF_n, printed and sign-corrected right sides.",
+                            (0,), ((-1,), "diag commutator requires n >= 0")),
+    }
+    NO_PROBES = ("adjacent_commutator", "lucas_fib_exchange", "square_difference",
+                 "horadam_commutator", "diag_commutator")
+
+    @staticmethod
+    def _unit(name):
+        # the per-(p, q) suites get params, the others a context: both stay accepted
+        params = fib_params(1, 1)
+        per_pq = name in ("lucas_fib_exchange", "square_difference")
+        return params if per_pq else make_context(params)
+
+    @pytest.mark.parametrize("name", NO_PROBES)
+    def test_extended_refused_where_a_suite_has_no_probes(self, name):
+        _, indices, _ = self.VERIFIERS[name]
+        with pytest.raises(TypeError):
+            getattr(identities, name)(self._unit(name), *indices, extended=True)
+
+    @pytest.mark.parametrize("name", sorted(VERIFIERS))
+    def test_a_wrong_number_of_indices_is_refused_by_name(self, name):
+        _, indices, _ = self.VERIFIERS[name]
+        for wrong in (indices[:-1], (*indices, 0)):
+            with pytest.raises(TypeError, match=rf"^{name}\(\) "):
+                getattr(identities, name)(self._unit(name), *wrong)
+
+    @pytest.mark.parametrize("name", sorted(VERIFIERS))
+    def test_extended_false_accepted_by_every_verifier(self, name):
+        _, indices, _ = self.VERIFIERS[name]
+        verify, params = getattr(identities, name), fib_params(1, 1)
+        assert verify(params, *indices, extended=False) == verify(params, *indices)
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_a_context_and_its_params_give_equal_reports(self, suite):
+        verify, row = getattr(identities, suite.replace("-", "_")), identities._SUITE_TABLE[suite]
+        for params in grid_param_sets(SMALL_GRID):
+            ctx = make_context(params)
+            for indices in row.indices(SMALL_GRID.nmax, SMALL_GRID.rmax):
+                extended = min(indices) < 0
+                assert (verify(ctx, *indices, extended=extended)
+                        == verify(params, *indices, extended=extended)), (params, indices)
+
+    @pytest.mark.parametrize("name", sorted(VERIFIERS))
+    def test_name_and_docstring(self, name):
+        verify = getattr(identities, name)
+        assert verify.__name__ == name
+        assert verify.__doc__.splitlines()[0] == self.VERIFIERS[name][0]
+
+    @pytest.mark.parametrize("name", [n for n, v in VERIFIERS.items() if v[2]])
+    def test_domain_error_text(self, name):
+        outside, message = self.VERIFIERS[name][2]
+        with pytest.raises(ValueError) as exc:
+            getattr(identities, name)(self._unit(name), *outside)
+        assert str(exc.value) == message
+
+
 class TestGridConfig:
     def test_default_param_sets_deduplicated(self):
         params = grid_param_sets(DEFAULT_GRID)
@@ -321,6 +402,7 @@ class TestGridConfig:
         ("p=p\n", "line 1: invalid p value 'p'"),
         ("q=1\nnmax=\n", "line 2: invalid nmax value ''"),
         ("rmax=1,2\n", "line 1: invalid rmax value '1,2'"),
+        ("q=1\np\n", "line 2: expected key=value, got 'p'"),
     ])
     def test_bad_value_in_any_position(self, text, where):
         with pytest.raises(GridConfigError, match=f"^{where}$"):
@@ -593,7 +675,7 @@ class TestIndependence:
             for indices in row.indices(SMALL_GRID.nmax, SMALL_GRID.rmax):
                 first, second = row.lhs(*sets, *indices)
                 lhs = identities._lhs(left.prod(*first), left.prod(*second))
-                printed, corrected, label = row.rhs(right, unit, *indices)
+                printed, corrected, label = row.rhs(right, sets[0], *indices)
                 probe = {"extended": True} if min(indices) < 0 else {}
                 report = verify(unit, *indices, **probe, ev=both)
                 assert report.lhs == identities._value(lhs), report.case

@@ -16,6 +16,11 @@ A run holds its product memo for one suite over one parameter set at a
 time, which would hide a memo key that drops the parameter sets from most
 suites; ``MEMO_KILLS`` plants that key and pins the suites that still see it.
 
+The four lemma hybrids have one definition, ``binet.lemma_hybrids``, read
+by binet's lemma checks and by the right sides; a unit planted there fails
+the lemma check that reads it and the suites of the matching ``rhs_consts``
+row.
+
 Every suite runs through one report builder and counts its cases from its
 row's closed forms; ``SHARED_PATH_KILLS`` plants one bug in each and pins
 the suites whose gate or case count it breaks.
@@ -201,6 +206,37 @@ def test_values_computed_under_a_mutant_do_not_outlive_its_run(monkeypatch):
     assert run_suite(MUTATION_GRID, "catalan").all_authoritative_pass
 
 
+# --- the lemma hybrids: one definition, read by binet's lemma checks and by
+# the right sides (through _rhs_consts) ---
+
+_CROSS_CHECKS = (binet.product_alphabar_betabar, binet.product_betabar_alphabar)
+_SQUARE_CHECKS = (binet.alphabar_squared, binet.betabar_squared)
+
+
+@pytest.mark.parametrize("component", HybridNumber._fields)
+@pytest.mark.parametrize("index", range(4))
+def test_a_planted_lemma_hybrid_fails_its_check_and_its_suites(index, component, monkeypatch):
+    original = binet.lemma_hybrids
+
+    def mutated(ctx):
+        consts = list(original(ctx))
+        z = consts[index]
+        consts[index] = z._replace(**{component: getattr(z, component) + 1})
+        return tuple(consts)
+
+    for module in (binet, identities):
+        monkeypatch.setattr(module, "lemma_hybrids", mutated)
+    ctx = binet.make_context(HoradamParams(2, -3, 1, 1))
+    failing, passing = ((_CROSS_CHECKS, _SQUARE_CHECKS) if index < 2
+                        else (_SQUARE_CHECKS, _CROSS_CHECKS))
+    for check in failing:
+        with pytest.raises(binet.LemmaMismatchError):
+            check(ctx)
+    for check in passing:
+        check(ctx)
+    assert failing_suites(MUTATION_GRID) == KILL_MATRIX[f"rhs_consts[{index}].{component}+1"]
+
+
 # --- mutants compiled from a function's source ---
 
 
@@ -262,8 +298,8 @@ def _count_mismatches(grid: GridConfig) -> set[str]:
 def _builder_drops_corrected(monkeypatch) -> None:
     """The report builder drops every corrected variant, so printed is authoritative."""
     build = _mutated(identities._build_report,
-                     "printed, corrected, label = row.rhs(ev, unit, *indices)",
-                     "(printed, _, label), corrected = row.rhs(ev, unit, *indices), None")
+                     "printed, corrected, label = row.rhs(ev, J, *indices)",
+                     "(printed, _, label), corrected = row.rhs(ev, J, *indices), None")
     monkeypatch.setattr(identities, "_build_report", build)
 
 
