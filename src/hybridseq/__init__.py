@@ -13,8 +13,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# The identity suites, in run order.  Defined here so that the CLI can list
-# them without importing the verifier.
+# The identity suites, in run order, and the sequence kinds of --seq.  Defined
+# here so that the CLI can list them without importing the verifier or sequences.
 SUITES = (
     "catalan",
     "cassini",
@@ -25,6 +25,7 @@ SUITES = (
     "horadam-commutator",
     "diag-commutator",
 )
+SEQ_KINDS = ("fib", "lucas", "horadam")
 
 # Public name -> defining submodule.  Names resolve on first access
 # (PEP 562), so importing the package loads none of the submodules.

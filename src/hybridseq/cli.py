@@ -12,7 +12,7 @@ from itertools import chain
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from . import SUITES, sequences
+from . import SEQ_KINDS, SUITES
 from .exactarith import DIGIT_CAP, format_rational, parse_integer, parse_rational
 from .hybrid import BASIS_LABELS, HybridNumber, basis_table, format_basis_product
 
@@ -21,6 +21,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .identities import VerificationReport
+    from .sequences import HoradamParams
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -31,8 +32,8 @@ _CAP_BITS = _CAP_POW.bit_length()
 # Work budgets, counted before any work; each is about 10 s at the limit.
 CASE_BUDGET = 250_000  # verify: cases on the grid for the chosen suite
 TERM_CAP = 5_000  # expand: last series index
-# Characters per stdout write of a window or of held lines (all ASCII), so
-# that a long window is a few system calls even when stdout is unbuffered.
+# Characters per stdout write (all ASCII): every line goes out in blocks of
+# this size, so long output is a few system calls even when stdout is unbuffered.
 BLOCK = 1 << 16
 
 # One fixed template per output line; every field is an int, a float's repr,
@@ -80,12 +81,13 @@ _VERIFY_CSV = (
 
 
 class _Blocks:
-    """The one stdout writer: lines written in blocks of BLOCK characters
-    (the last one shorter), one ``write`` call per block.  With file
-    descriptor 1 closed, Python sets sys.stdout to None and output is dropped."""
+    """The one stdout writer and the only path to stdout: every line of every
+    command goes out in blocks of BLOCK characters, one private ``_write`` per
+    block; a block may end inside a line, and ``flush`` writes what is held.
+    With file descriptor 1 closed, Python sets sys.stdout to None and output is dropped."""
 
     def __init__(self) -> None:
-        self.write = len if sys.stdout is None else sys.stdout.write  # len keeps nothing
+        self._write = len if sys.stdout is None else sys.stdout.write  # len keeps nothing
         self.lines: list[str] = []
         self.size = 0
 
@@ -96,12 +98,12 @@ class _Blocks:
             text = "".join(self.lines)
             cut = len(text) - len(text) % BLOCK
             for k in range(0, cut, BLOCK):
-                self.write(text[k : k + BLOCK])
+                self._write(text[k : k + BLOCK])
             self.lines, self.size = [text[cut:]], len(text) - cut
 
     def flush(self) -> None:
         if self.size:
-            self.write("".join(self.lines))
+            self._write("".join(self.lines))
         self.lines, self.size = [], 0
 
 
@@ -121,13 +123,15 @@ def _cap_error(where: str) -> ValueError:
     return ValueError(f"{where} needs a value of more than {DIGIT_CAP} digits (the output cap)")
 
 
-def _window(args: Namespace, width: int) -> tuple[sequences.HoradamParams, list]:
+def _window(args: Namespace, width: int) -> tuple[HoradamParams, list]:
     """The --seq parameters and X_from … X_{to+width−1}, checked against
     the cap before any output.
 
     Line n shows X_n … X_{n+width−1}, so the error names the first line
     that would hold a value over the cap.
     """
+    from . import sequences
+
     params = sequences.HoradamParams(args.p, args.q, args.a, args.b)
     start, stop = args.start, args.stop
     if start > stop:
@@ -204,7 +208,7 @@ def cmd_char(args: Namespace, out: _Blocks) -> int:
 
 
 def cmd_expand(args: Namespace, out: _Blocks) -> int:
-    from . import genfunc
+    from . import genfunc, sequences
 
     params = sequences.HoradamParams(args.p, args.q, args.a, args.b)
     if args.terms > TERM_CAP:
@@ -271,14 +275,14 @@ def cmd_verify(args: Namespace, out: _Blocks) -> int:
             f"nothing to verify: suite {args.suite!r} has no gated case on this grid "
             f"({cases} cases, all extended-domain probes)"
         )
-    held: list[str] = []
-    if args.format == "json" and not args.audit:  # verdicts only: each line goes out at once
-        emit, render = out.write, _plain_line
-    else:  # lines with values are held to the end, so an over-cap value stops the run first
-        emit, render = held.append, _csv_line if args.format == "csv" else _audit_line
-    result = identities.run_suite(config, args.suite, sink=lambda report: emit(render(report)))
-    if args.format == "csv":
-        out(_VERIFY_CSV[0])
+    render = _csv_line if args.format == "csv" else _audit_line if args.audit else _plain_line
+    held = [_VERIFY_CSV[0]] if render is _csv_line else []  # written once the run is done,
+    emit = out if render is _plain_line else held.append  # so a value over the cap stops it first
+    try:
+        result = identities.run_suite(config, args.suite, sink=lambda report: emit(render(report)))
+    except ArithmeticError:  # a failed check: the lines of the cases verified before it go out
+        out.flush()
+        raise
     for text in held:
         out(text)
     counts, extended, extended_failures, gate = result.tally()
@@ -298,7 +302,7 @@ _PQAB = (
     ("--a", "a", int, 0, False, "seed X_0 (default 0)"),
     ("--b", "b", int, 1, False, "seed X_1 (default 1)"),
 )
-_SEQ = ("--seq", "seq", sequences.SEQ_KINDS, "horadam", False, None)
+_SEQ = ("--seq", "seq", SEQ_KINDS, "horadam", False, None)
 _FORMAT = ("--format", "format", ("json", "csv"), "json", False, None)
 COMMANDS = {  # name -> (function, help, flag rows)
     "table": (cmd_table, "print the 4×4 unit multiplication table", ()),
@@ -426,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     out = _Blocks()
     try:
         code = args.func(args, out)
-        out.flush()  # only after a normal return: an error line comes with no held output
+        out.flush()  # only after a normal return: an error drops what is held
         return code
     except BrokenPipeError:  # stdout's reader is gone: no usage error, and no line for it
         raise

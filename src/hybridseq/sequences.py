@@ -14,10 +14,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
+from . import SEQ_KINDS
 from .exactarith import _numerators, _rational, roots
 from .hybrid import HybridNumber
-
-SEQ_KINDS = ("fib", "lucas", "horadam")
 
 
 class HoradamParams(namedtuple("HoradamParams", "p q a b")):

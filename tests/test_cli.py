@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -618,25 +619,59 @@ class TestVerify:
     @pytest.mark.parametrize("extra,streams", [((), True), (("--format", "csv"), False),
                                                (("--audit",), False)])
     def test_plain_lines_stream_and_value_lines_are_held(self, monkeypatch, extra, streams):
-        # counted, not timed: the lines on stdout each time a case starts
+        # counted, not timed: the characters on stdout each time a case starts
         out = io.StringIO()
-        lines_at_call = []
-        verifier = identities.cassini
+        out_at_call = []
+        verifier = identities.docagne
 
         def watched(*args, **kwargs):
-            lines_at_call.append(out.getvalue().count("\n"))
+            out_at_call.append(len(out.getvalue()))
             return verifier(*args, **kwargs)
 
-        monkeypatch.setattr(identities, "cassini", watched)
+        monkeypatch.setattr(identities, "docagne", watched)
         monkeypatch.setattr(sys, "stdout", out)
-        assert main(["verify", "--suite", "cassini", *extra]) == 0
-        cases = identities.case_count(identities.DEFAULT_GRID, "cassini")
-        assert len(lines_at_call) == cases
-        if streams:  # the first line is out before the second case runs, and so on
-            assert lines_at_call == list(range(cases))
+        assert main(["verify", "--suite", "docagne", *extra]) == 0
+        cases = identities.case_count(identities.DEFAULT_GRID, "docagne")
+        lines = out.getvalue().splitlines(keepends=True)
+        assert len(out_at_call) == cases and len(lines) == cases + 1
+        if streams:  # when case k starts, less than a block of lines 0 … k−1 is still held
+            done = [0, *accumulate(map(len, lines[:-2]))]
+            assert all(0 <= verified - written < cli.BLOCK
+                       for verified, written in zip(done, out_at_call))
+            assert out_at_call[-1] >= cli.BLOCK  # a block is out before the last case runs
         else:  # nothing is out before the last case has run
-            assert lines_at_call == [0] * cases
-        assert out.getvalue().count("\n") == cases + 1
+            assert out_at_call == [0] * cases
+
+    @staticmethod
+    def _fail_docagne_at(monkeypatch, call: int) -> None:
+        verifier, calls = identities.docagne, []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == call:
+                raise ArithmeticError(f"planted failure at call {call}")
+            return verifier(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "docagne", failing)
+
+    def test_a_failed_check_ends_stdout_with_the_lines_verified_before_it(self, capsys,
+                                                                         monkeypatch):
+        self._fail_docagne_at(monkeypatch, 1501)
+        code, out, err = run_cli(capsys, "verify", "--suite", "docagne")
+        assert (code, err) == (1, "error: planted failure at call 1501\n")
+        assert (out.count("\n"), len(out), out[-1]) == (1500, 162_990, "\n")
+
+    def test_a_failed_check_on_a_full_stdout_is_one_error_line(self, capsys, monkeypatch):
+        # the lines held at the failed check cannot be written: that write's
+        # error is the one reported, as when each line was written at once
+        class Full(io.StringIO):
+            def write(self, text: str) -> int:
+                raise OSError(28, "No space left on device")
+
+        self._fail_docagne_at(monkeypatch, 101)
+        monkeypatch.setattr(sys, "stdout", Full())
+        code, _, err = run_cli(capsys, "verify", "--suite", "docagne")
+        assert (code, err) == (2, "error: [Errno 28] No space left on device\n")
 
     def test_audit_with_csv_is_usage_error(self, capsys):
         code, out, err = run_cli(
@@ -931,7 +966,7 @@ class _CountingStdout(io.StringIO):
 
 
 class TestBlockWrites:
-    """Windows and held verify lines go out in blocks: counted, not timed."""
+    """Every command's lines go out in blocks: counted, not timed."""
 
     @pytest.mark.parametrize("argv,lines", [
         ("seq --p 1 --q 1 --to 5000", 5001),
@@ -939,6 +974,7 @@ class TestBlockWrites:
         ("expand --p 1 --q 1 --terms 600", 601),
         ("verify --format csv", 17531),
         ("verify --suite docagne --audit", 4481),
+        ("verify", 17531),
     ])
     def test_one_write_per_block(self, monkeypatch, argv, lines):
         out = _CountingStdout()

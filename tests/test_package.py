@@ -152,6 +152,10 @@ class TestImportFootprint:
     def test_light_commands_skip_closed_forms_and_verifier(self, command):
         assert not _loaded_by(COMMANDS[command]) & HEAVY
 
+    @pytest.mark.parametrize("command", ["table", "char"])
+    def test_table_and_char_skip_sequences(self, command):
+        assert "hybridseq.sequences" not in _loaded_by(COMMANDS[command])
+
     def test_binet_skips_series_and_verifier(self):
         loaded = _loaded_by(COMMANDS["binet"])
         assert "hybridseq.binet" in loaded
