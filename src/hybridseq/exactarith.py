@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 Rational = Fraction
 
@@ -65,11 +66,9 @@ def parse_integer(text: str, what: str = "integer") -> int:
 
 
 def format_rational(value: int | Fraction) -> str:
-    """Render a rational in wire format: ``"num/den"``, integers as ``"5"``."""
+    """Render an int or a Fraction in wire format: ``"num/den"``, integers as ``"5"``."""
     if type(value) is int:
         return str(value)
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -95,25 +94,24 @@ class QuadExt:
     Stored as integer numerators over one positive denominator,
     (X + Y·s)/den with gcd(X, Y, den) = 1, so arithmetic works on ints and
     reduces once per operation.  ``x`` and ``y`` are the rational
-    components (an ``int`` when integral).  Values are immutable.
-    Arithmetic between elements with different D is rejected; plain
-    integers and rationals coerce to (k, 0).  Equality is component-wise
-    on (x, y, D).
+    components (an ``int`` when integral), each given as an ``int`` or a
+    ``Fraction``, and D is an integer; nothing else is converted.  Values
+    are immutable.  Arithmetic between elements with different D is
+    rejected; plain integers and rationals coerce to (k, 0).  Equality is
+    component-wise on (x, y, D).
     """
 
     __slots__ = ("_x", "_y", "_den", "d")
 
     def __init__(self, x: int | Fraction, y: int | Fraction, d: int) -> None:
+        d = index(d)
         if d == 0:
             raise ValueError("discriminant D must be nonzero")
-        if type(x) is int and type(y) is int:
-            num_x, num_y, den = x, y, 1
-        else:  # x and y are reduced, so gcd(X, Y, lcm) is already 1
-            (num_x, num_y), den = _numerators((Fraction(x), Fraction(y)))
+        (num_x, num_y), den = _numerators((x, y))  # both reduced: gcd(X, Y, den) is 1
         _set_x(self, num_x)
         _set_y(self, num_y)
         _set_den(self, den)
-        _set_d(self, int(d))
+        _set_d(self, d)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadExt is immutable")
@@ -143,9 +141,7 @@ class QuadExt:
             if a == b:
                 return _reduced(self._x + other._x, self._y + other._y, a, self.d)
             return _reduced(self._x * b + other._x * a, self._y * b + other._y * a, a * b, self.d)
-        if isinstance(other, int):
-            return _raw(self._x + other * self._den, self._y, self._den, self.d)
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             a, b = self._den, other.denominator
             return _reduced(self._x * b + other.numerator * a, self._y * b, a * b, self.d)
         return NotImplemented

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import index
 
 from . import SEQ_KINDS
 from .exactarith import _numerators, _rational, roots
@@ -20,11 +21,13 @@ from .hybrid import HybridNumber
 
 
 class HoradamParams(namedtuple("HoradamParams", "p q a b")):
-    """Recurrence parameters (p, q) and seed values (a, b) = (X_0, X_1)."""
+    """Recurrence parameters (p, q) and seed values (a, b) = (X_0, X_1), each
+    an integer read through ``operator.index``: a float or a Fraction raises."""
 
     __slots__ = ()
 
     def __new__(cls, p: int, q: int, a: int, b: int) -> HoradamParams:
+        p, q, a, b = map(index, (p, q, a, b))
         if q == 0:
             raise ValueError("q must be nonzero (backward recurrence divides by q)")
         if p * p + 4 * q == 0:

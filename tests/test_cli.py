@@ -369,22 +369,23 @@ class TestArithmeticErrors:
         assert proc.stderr.startswith("error: ")
 
 
+# requests over the output cap: (argv, and the index name and index the error names)
+OVER_CAP_REQUESTS = [
+    (("seq", "--p", "1", "--q", "1", "--from", "20570", "--to", "20600",
+      "--kind", "scalar"), "n", 20578),
+    (("seq", "--p", "1", "--q", "1", "--from", "20560", "--to", "20600",
+      "--format", "csv"), "n", 20575),
+    (("seq", "--p", "1", "--q", "2", "--from", "-14300", "--to", "-14280",
+      "--kind", "scalar"), "n", -14300),
+    (("binet", "--p", "1", "--q", "1", "--from", "21000", "--to", "21001"), "n", 21000),
+    (("expand", "--p", str(10**30), "--q", "1", "--terms", "200"), "r", 142),
+]
+
+
 class TestDigitCap:
     """Windows over the documented output cap are rejected before any output."""
 
-    @pytest.mark.parametrize(
-        "argv,name,index",
-        [
-            (("seq", "--p", "1", "--q", "1", "--from", "20570", "--to", "20600",
-              "--kind", "scalar"), "n", 20578),
-            (("seq", "--p", "1", "--q", "1", "--from", "20560", "--to", "20600",
-              "--format", "csv"), "n", 20575),
-            (("seq", "--p", "1", "--q", "2", "--from", "-14300", "--to", "-14280",
-              "--kind", "scalar"), "n", -14300),
-            (("binet", "--p", "1", "--q", "1", "--from", "21000", "--to", "21001"), "n", 21000),
-            (("expand", "--p", str(10**30), "--q", "1", "--terms", "200"), "r", 142),
-        ],
-    )
+    @pytest.mark.parametrize("argv,name,index", OVER_CAP_REQUESTS)
     def test_over_cap_is_one_error_line_and_no_output(self, capsys, argv, name, index):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -162,6 +164,48 @@ class TestQuadExt:
         assert 3 * u == QuadExt(3, 6, 5)
         assert u + Fraction(1, 2) == QuadExt(Fraction(3, 2), 2, 5)
         assert 1 - u == QuadExt(0, -2, 5)
+
+    def test_scalar_divided_by_an_element(self):
+        u = QuadExt(1, 1, 5)  # (1 + s)⁻¹ = (1 − s)/(1 − 5)
+        assert 2 / u == QuadExt(Fraction(-1, 2), Fraction(1, 2), 5)
+        assert Fraction(1, 3) / u == QuadExt(Fraction(-1, 12), Fraction(1, 12), 5)
+
+    def test_str(self):
+        assert str(QuadExt(Fraction(1, 2), -3, 5)) == "1/2 + -3·s"
+
+    def test_immutable(self):
+        u = QuadExt(1, 2, 5)
+        for name in ("x", "d", "_den"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(u, name, 3)
+        assert u == QuadExt(1, 2, 5)
+
+    @pytest.mark.parametrize("other", [0.5, Decimal(1), None])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_mixed_type_arithmetic_raises(self, op, other):
+        with pytest.raises(TypeError):
+            op(QuadExt(1, 2, 5), other)
+
+
+class TestOnlyIntAndFraction:
+    """A component is an int or a Fraction, read through its numerator and
+    denominator, and D an integer; nothing else is converted."""
+
+    @pytest.mark.parametrize("x,y,d,error", [
+        (1, 0, 5.9, TypeError),  # not truncated to s² = 5
+        (1, 0, Fraction(5), TypeError),
+        (0.1, 0, 5, AttributeError),  # not 0.1's binary expansion, 3602879701896397/2⁵⁵
+        ("1/3", 0, 5, AttributeError),
+        (0, Decimal("0.5"), 5, AttributeError),
+    ])
+    def test_quadext_refuses(self, x, y, d, error):
+        with pytest.raises(error):
+            QuadExt(x, y, d)
+
+    @pytest.mark.parametrize("value", [0.1, "1/3", Decimal("0.5")])
+    def test_format_rational_refuses(self, value):
+        with pytest.raises(AttributeError):
+            format_rational(value)
 
 
 class TestPow:

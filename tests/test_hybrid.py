@@ -15,6 +15,7 @@ from hybridseq import (
     BASIS,
     BASIS_LABELS,
     HybridNumber,
+    QuadExt,
     basis_table,
     commutator,
     format_basis_product,
@@ -59,6 +60,13 @@ class TestProduct:
         expected = HybridNumber(8, 0, -1, 3)
         assert table_mul(z, w) == expected
         assert z * w == expected
+
+    def test_scalar_on_either_side(self):
+        z = HybridNumber(1, 1, 2, 3)
+        assert z * 2 == 2 * z == HybridNumber(2, 2, 4, 6)
+        assert z * Fraction(1, 2) == z.scale(Fraction(1, 2))
+        s = QuadExt(0, 1, 5)
+        assert z * s == s * z == HybridNumber(s, s, 2 * s, 3 * s)
 
     @given(hybrids, hybrids)
     def test_expansion_regenerated_from_table(self, z, w):

@@ -28,15 +28,25 @@ the suites whose gate or case count it breaks.
 The ``binet`` command checks its closed-form walk against one recurrence
 window; ``BINET_KILLS`` plants one bug on each side of that check and pins
 the lines it must report as divergent, with both values.
+
+The other commands rest on checks of their output; ``COMMAND_KILLS`` plants
+one bug each in the negative branch of ``sequences._seek``, in
+``cli._rendered`` and in ``cli._over_cap``, and pins the command checks
+that fail under it: golden stream digests, binet's exit 1, expand's
+``matches_seq`` and the cap's error line.  A mutant that no check kills is
+pinned to the empty set.
 """
 
 from __future__ import annotations
 
 import __future__
+import hashlib
 import inspect
+import io
 import json
 import random
 import textwrap
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -46,6 +56,7 @@ from hybridseq import (
 )
 
 from helpers import rand_hybrid
+from test_cli import GOLDEN_DIGESTS, OVER_CAP_REQUESTS
 
 MUTATION_GRID = GridConfig(ps=(1, 2), qs=(-1, 2), ab=((0, 1), (2, 3)), nmax=4, rmax=2)
 
@@ -386,3 +397,93 @@ def test_unmutated_binet_passes(capsys):
     assert cli.main(BINET_ARGV) == 0
     out, err = capsys.readouterr()
     assert (len(out.splitlines()), err) == (81, "")
+
+
+# --- command-level mutants: each pinned to the command checks that kill it ---
+
+# every golden stream but the default-grid verify ones (three times the
+# rest's run time); "verify --suite docagne --audit" stays and sends every
+# value it prints through the same cap check
+_CHECKED_STREAMS = {command: digest for command, digest in GOLDEN_DIGESTS.items()
+                    if command not in ("verify", "verify --format csv", "verify --audit")}
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def failing_command_checks() -> set[str]:
+    """The command checks that fail: a golden stream's digest, a golden binet
+    request's exit 1 (its walk disagrees with the recurrence), a golden expand
+    request's matches_seq, and an over-cap request's one cap error line."""
+    failed = set()
+    for command, digest in _CHECKED_STREAMS.items():
+        code, out, _ = _run(command.split())
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            failed.add(f"digest: {command}")
+        if command.startswith("binet") and code == 1:
+            failed.add(f"binet exit 1: {command}")
+        if command.startswith("expand") and "false" in out:
+            failed.add(f"expand matches_seq: {command}")
+    for argv, name, index in OVER_CAP_REQUESTS:
+        error = f"error: {name}={index} needs a value of more than {cli.DIGIT_CAP} digits (the output cap)\n"
+        if _run(list(argv)) != (2, "", error):
+            failed.add(f"digit cap: {' '.join(argv)}")
+    return failed
+
+
+def _seek_negative_mutant(monkeypatch) -> None:
+    """q^(k+1) in place of q^k on the way to an index −k < 0."""
+    seek = _mutated(sequences._seek, "q_k = q ** -n", "q_k = q ** (1 - n)")
+    monkeypatch.setattr(sequences, "_seek", seek)
+
+
+def _rendered_mutant(monkeypatch) -> None:
+    """Each line drops its last text in place of its first before the next line."""
+    monkeypatch.setattr(cli, "_rendered", _mutated(cli._rendered, "del texts[0]", "del texts[-1]"))
+
+
+def _over_cap_mutant(monkeypatch) -> None:
+    """The denominator is never compared with the cap."""
+    over_cap = _mutated(cli._over_cap, "abs(num) >= _CAP_POW or den >= _CAP_POW",
+                        "abs(num) >= _CAP_POW")
+    monkeypatch.setattr(cli, "_over_cap", over_cap)
+
+
+_BINET_BELOW_0 = (
+    "binet --p -2 --q 3 --a 3 --b -1 --from -80 --to 50 --format csv",
+    "binet --p 3 --q -2 --seq lucas --from -90 --to 10",
+)
+_HYBRID_SEQ = ("seq --p 2 --q 3 --from -1000 --to 1000", "seq --p 2 --q 3 --from -40 --to 400 --format csv")
+
+# mutant -> (its install, and the command checks that fail under it)
+COMMAND_KILLS = {
+    # every golden window that starts below 0 (none has q = 1, where the
+    # mutant changes nothing), and binet's cross-check on both of its own
+    "_seek: q^(k+1) below index 0": (_seek_negative_mutant, {
+        *(f"digest: {command}" for command in (
+            *_BINET_BELOW_0, *_HYBRID_SEQ,
+            "seq --p 1 --q -1 --a 2 --b 5 --from -300 --to 20 --kind scalar",
+            "seq --p 1 --q -3 --a 2 --b 5 --from -60 --to 40 --kind scalar --format csv",
+            "seq --p 3 --q 2 --from -300 --to 300 --kind scalar",
+        )),
+        *(f"binet exit 1: {command}" for command in _BINET_BELOW_0),
+    }),
+    # a scalar line has one text, so only the hybrid windows show it; binet's
+    # cross-check compares values, never texts
+    "_rendered: drops the last text": (_rendered_mutant, {
+        f"digest: {command}" for command in (*_BINET_BELOW_0, *_HYBRID_SEQ, "binet --p 1 --q 1 --to 300")
+    }),
+    # survives: no checked request has a value whose denominator alone passes the cap
+    "_over_cap: denominator unchecked": (_over_cap_mutant, set()),
+}
+
+
+@pytest.mark.parametrize("name", list(COMMAND_KILLS))
+def test_command_kill_set(name, monkeypatch):
+    install, killed_by = COMMAND_KILLS[name]
+    install(monkeypatch)
+    assert failing_command_checks() == killed_by

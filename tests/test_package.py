@@ -7,6 +7,7 @@ import importlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from hybridseq import (
     cassini,
     check_expansion,
     expand,
+    fib,
     fib_params,
     make_context,
     product_alphabar_betabar,
@@ -260,6 +262,18 @@ class TestRecordTypes:
             HoradamParams(**dict(zip("pqab", args)))
         with pytest.raises(ValueError):
             fib_params(3, 1)._replace(p=args[0], q=args[1])
+
+    @pytest.mark.parametrize("value", [0.5, Fraction(1), "1"])
+    @pytest.mark.parametrize("field", "pqab")
+    def test_params_take_integers_only(self, field, value):
+        with pytest.raises(TypeError):
+            HoradamParams(**{"p": 1, "q": 1, "a": 0, "b": 1, field: value})
+        with pytest.raises(TypeError):
+            fib_params(3, 1)._replace(**{field: value})
+
+    def test_no_sequence_value_from_a_float(self):
+        with pytest.raises(TypeError):
+            fib(1.5, 1, 5)  # not 12.8125
 
     @pytest.mark.parametrize(
         "kwargs", [{"qs": (1, 0)}, {"nmax": -1}, {"rmax": -1}, {"ab": ((0, 1, 2),)},

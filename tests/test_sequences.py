@@ -245,6 +245,20 @@ class TestScalarIdentities:
         report = verify_scalar_identities(HoradamParams(3, -1, 0, 1), 12)
         assert report.ok
 
+    @pytest.mark.parametrize("seeds,n,checked,failure", [
+        ((0, 1), 6, 16, "F_2r != F_r*L_r at r=3"),
+        ((2, 1), 4, 12, "(p²+4q)F_r² != L_2r - 2(-q)^r at r=2"),
+        ((0, 1), -3, 16, "F_-r != -(-q)^-r F_r at r=3"),
+    ])
+    def test_a_planted_unit_is_reported(self, seeds, n, checked, failure, monkeypatch):
+        planted, original = HoradamParams(1, 1, *seeds), SeqCache.value
+
+        def value(self, k):
+            return original(self, k) + (self.params == planted and k == n)
+
+        monkeypatch.setattr(SeqCache, "value", value)
+        assert verify_scalar_identities(fib_params(1, 1), 12) == (False, checked, failure)
+
     def test_double_index_spot(self):
         # F_6 = F_3·L_3 for p=q=1: 8 = 2·4
         assert fib(1, 1, 6) == 8
