@@ -10,66 +10,42 @@ Component k of HJ_n is J_m with m = n + k.  B, β and β^m are the s ↦ −s
 conjugates of A, α and α^m, so if A·α^m = x + y·s, then J_m = 2·y·s/s = 2·y,
 rational by construction.  :func:`binet_window` reaches A·α^lo = (X + Y·s)/den
 by one power, then multiplies by α = (p + s)/2 on integers:
-(X, Y, den) → (p·X + D·Y, X + p·Y, 2·den).  The context also carries the
-constants of the product/square lemmas, whose four rational hybrids
-(:func:`lemma_hybrids`) the identity right-hand sides read.
+(X, Y, den) → (p·X + D·Y, X + p·Y, 2·den).  The product and square lemmas
+multiply α̲ and β̲ in Q[s] and check the products against the four rational
+hybrids of :func:`~hybridseq.sequences.lemma_hybrids`, the ones the identity
+right-hand sides read.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .exactarith import QuadExt, _numerators, _rational, roots
 from .hybrid import HybridNumber
-from .sequences import HoradamParams, SeqCache, fib_params, lucas_params
+from .sequences import HoradamParams, lemma_hybrids
 
 
 class LemmaMismatchError(ArithmeticError):
     """A closed-form lemma disagreed with the direct product (a bug)."""
 
 
-class BinetContext(namedtuple("BinetContext", (
-    "params disc alpha beta alpha_hybrid beta_hybrid alpha_weight beta_weight "
-    "weight_product cross_shift omega square_lucas_shift square_fib_shift fib0 lucas0"
-))):
-    """Immutable bundle of the closed-form constants for one parameter set.
-
-    ``cross_shift`` is the scalar q³+pq−q+1 and ``omega`` the hybrid
-    (1−p)·i − q·ε + (p²+q+1)·h; the products α̲·β̲ and β̲·α̲ equal
-    (HL₀ − cross_shift) ± q·(α−β)·(HF₀ − omega).  ``square_lucas_shift``
-    and ``square_fib_shift`` play the same role for α̲² and β̲²:
-    α̲², β̲² = (HL₀ + square_lucas_shift) ± (α−β)·(HF₀ + square_fib_shift).
-    """
+class BinetContext(namedtuple("BinetContext", "params disc alpha beta alpha_weight beta_weight")):
+    """The closed form of one parameter set: D = p²+4q, the roots α and β,
+    and the weights A = b − a·β and B = b − a·α."""
 
     __slots__ = ()
 
 
 def make_context(params: HoradamParams) -> BinetContext:
-    """Populate every closed-form constant for the given parameters."""
+    """The roots and the weights of the closed form for the given parameters."""
     p, q, a, b = params
     alpha, beta = roots(p, q)
-    alpha_hybrid = HybridNumber(QuadExt(1, 0, alpha.d), alpha, alpha**2, alpha**3)
-    beta_hybrid = HybridNumber(QuadExt(1, 0, beta.d), beta, beta**2, beta**3)
-    f = SeqCache(fib_params(p, q)).window(0, 6)
-    fib_sum = f[6] + 2 * f[3] - f[2]
-    return BinetContext(
-        params=params,
-        disc=params.discriminant,
-        alpha=alpha,
-        beta=beta,
-        alpha_hybrid=alpha_hybrid,
-        beta_hybrid=beta_hybrid,
-        alpha_weight=b - beta * a,
-        beta_weight=b - alpha * a,
-        weight_product=params.weight_product,
-        cross_shift=q**3 + p * q - q + 1,
-        omega=HybridNumber(0, 1 - p, -q, p * p + q + 1),
-        square_lucas_shift=-1 + Fraction(p, 2) * fib_sum + q * (f[5] + 2 * f[2] - f[1]),
-        square_fib_shift=Fraction(1, 2) * fib_sum,
-        fib0=HybridNumber(*f[:4]),
-        lucas0=HybridNumber(*SeqCache(lucas_params(p, q)).window(0, 3)),
-    )
+    return BinetContext(params, params.discriminant, alpha, beta, b - beta * a, b - alpha * a)
+
+
+def companion_hybrid(root: QuadExt) -> HybridNumber:
+    """α̲ = 1 + α·i + α²·ε + α³·h for the root α, and β̲ likewise."""
+    return HybridNumber(QuadExt(1, 0, root.d), root, root**2, root**3)
 
 
 def lift(z: HybridNumber, d: int) -> HybridNumber:
@@ -104,20 +80,13 @@ def binet_lucas(ctx: BinetContext, n: int) -> HybridNumber:
     return binet_horadam(ctx._replace(alpha_weight=QuadExt(0, 1, ctx.disc)), n)
 
 
-def lemma_hybrids(ctx: BinetContext) -> tuple[HybridNumber, ...]:
-    """(HL₀ − cross_shift, HF₀ − omega, HL₀ + square_lucas_shift,
-    HF₀ + square_fib_shift): the rational hybrids of the product and square
-    lemmas, checked below and read by the identity right sides."""
-    scalar = HybridNumber.from_scalar
-    return (ctx.lucas0 - scalar(ctx.cross_shift), ctx.fib0 - ctx.omega,
-            ctx.lucas0 + scalar(ctx.square_lucas_shift), ctx.fib0 + scalar(ctx.square_fib_shift))
-
-
-def _checked(ctx: BinetContext, direct: HybridNumber, first: int, factor: int,
+def _checked(ctx: BinetContext, x: QuadExt, y: QuadExt, first: int, factor: int,
              label: str) -> HybridNumber:
-    """``direct``, checked against base + factor·(α−β)·swing with (base, swing)
-    the lemma hybrids from index ``first``."""
-    base, swing = lemma_hybrids(ctx)[first : first + 2]
+    """The direct product x̲·y̲ of two companion hybrids, checked against
+    base + factor·(α−β)·swing with (base, swing) the lemma hybrids of (p, q)
+    from index ``first``."""
+    direct = companion_hybrid(x) * companion_hybrid(y)
+    base, swing = lemma_hybrids(ctx.params.p, ctx.params.q)[first : first + 2]
     closed = lift(base, ctx.disc) + lift(swing, ctx.disc).scale(QuadExt(0, factor, ctx.disc))
     if direct != closed:
         raise LemmaMismatchError(f"{label}: direct product {direct} != closed form {closed}")
@@ -126,19 +95,19 @@ def _checked(ctx: BinetContext, direct: HybridNumber, first: int, factor: int,
 
 def product_alphabar_betabar(ctx: BinetContext) -> HybridNumber:
     """α̲·β̲, checked against (HL₀ − cross_shift) + q(α−β)(HF₀ − omega)."""
-    return _checked(ctx, ctx.alpha_hybrid * ctx.beta_hybrid, 0, ctx.params.q, "α̲·β̲")
+    return _checked(ctx, ctx.alpha, ctx.beta, 0, ctx.params.q, "α̲·β̲")
 
 
 def product_betabar_alphabar(ctx: BinetContext) -> HybridNumber:
     """β̲·α̲, checked against (HL₀ − cross_shift) − q(α−β)(HF₀ − omega)."""
-    return _checked(ctx, ctx.beta_hybrid * ctx.alpha_hybrid, 0, -ctx.params.q, "β̲·α̲")
+    return _checked(ctx, ctx.beta, ctx.alpha, 0, -ctx.params.q, "β̲·α̲")
 
 
 def alphabar_squared(ctx: BinetContext) -> HybridNumber:
-    """α̲², checked against (HL₀ + r) + (α−β)(HF₀ + s) with the context shifts."""
-    return _checked(ctx, ctx.alpha_hybrid * ctx.alpha_hybrid, 2, +1, "α̲²")
+    """α̲², checked against (HL₀ + r) + (α−β)(HF₀ + s) with the square shifts r and s."""
+    return _checked(ctx, ctx.alpha, ctx.alpha, 2, +1, "α̲²")
 
 
 def betabar_squared(ctx: BinetContext) -> HybridNumber:
-    """β̲², checked against (HL₀ + r) − (α−β)(HF₀ + s) with the context shifts."""
-    return _checked(ctx, ctx.beta_hybrid * ctx.beta_hybrid, 2, -1, "β̲²")
+    """β̲², checked against (HL₀ + r) − (α−β)(HF₀ + s) with the square shifts r and s."""
+    return _checked(ctx, ctx.beta, ctx.beta, 2, -1, "β̲²")

@@ -3,11 +3,11 @@
 Each identity is a table row with two independent sides.  The left side is
 data, the keys of two products of recurrence windows, read only through
 :meth:`Evaluator.prod`.  The right side is a function of scalar sequence
-values (:meth:`Evaluator.scalar`), the constant hybrids of its (p, q)
-(``Evaluator.pq``, binet's lemma hybrids) and the parameter set J alone.
-So a bug in one side cannot silently validate the other;
-``TestIndependence`` in ``tests/test_identities.py`` enforces this rule on
-every row.
+values (:meth:`Evaluator.scalar`), the four lemma hybrids of its (p, q)
+(``Evaluator.pq``, from :func:`~hybridseq.sequences.lemma_hybrids`) and the
+parameter set J alone.  So a bug in one side cannot silently validate the
+other; ``TestIndependence`` in ``tests/test_identities.py`` enforces this
+rule on every row.
 
 Every verifier is made from its row, as ``name(params, *indices,
 extended=False, ev=None)``; a ``BinetContext`` is read through its
@@ -37,10 +37,9 @@ from itertools import chain, combinations_with_replacement, product
 from threading import Lock
 
 from . import SUITES
-from .binet import lemma_hybrids, make_context
 from .exactarith import _numerators, _rational, parse_integer
 from .hybrid import HybridNumber
-from .sequences import HoradamParams, SeqCache, fib_params, lucas_params
+from .sequences import HoradamParams, SeqCache, fib_params, lemma_hybrids, lucas_params
 
 VERDICT_PASS = "pass"
 VERDICT_AUDIT = "printed-fails-variant-passes"
@@ -157,22 +156,17 @@ class _Lookups:
 _hyb, _prod = _Lookups(), _Lookups()
 
 
-def _rhs_consts(p: int, q: int) -> tuple[HybridNumber, ...]:
-    """binet's four lemma hybrids of (p, q), the ones its lemma checks check."""
-    return lemma_hybrids(make_context(fib_params(p, q)))
-
-
 def _neg_q_pow(q: int, n: int) -> int | Fraction:
     return (-q) ** n if n >= 0 else Fraction(1, (-q) ** -n)
 
 
 # What the cases of one (p, q) share: its Fibonacci and Lucas parameter
-# sets, and the four _rhs_consts hybrids as pairs.
+# sets, and its four lemma hybrids as pairs.
 _PQ = namedtuple("_PQ", "fibs lucs lucas_shifted fib_shifted lucas_sq fib_sq")
 
 
 def _pq(pair: tuple[int, int]) -> _PQ:
-    return _PQ(fib_params(*pair), lucas_params(*pair), *map(_scaled, _rhs_consts(*pair)))
+    return _PQ(fib_params(*pair), lucas_params(*pair), *map(_scaled, lemma_hybrids(*pair)))
 
 
 def _window_pair(seqs: dict[HoradamParams, SeqCache], key) -> tuple[HybridNumber, int]:

@@ -7,6 +7,8 @@ comes from one evaluator: seek to an index by companion-matrix powering,
 then step with the recurrence.  Values are ``int`` while they are
 integral: every value at n ≥ 0, and every value at all n when |q| = 1.
 A value is a :class:`~fractions.Fraction` only where it is not an integer.
+The four rational hybrids of binet's lemmas (:func:`lemma_hybrids`) come
+from one Fibonacci and one Lucas window too.
 """
 
 from __future__ import annotations
@@ -179,6 +181,22 @@ class SeqCache:
 def hybrid_seq(params: HoradamParams, kind: str, n: int) -> HybridNumber:
     """Hybrid-valued sequence element (X_n, X_{n+1}, X_{n+2}, X_{n+3})."""
     return SeqCache(resolve_params(params, kind)).hybrid(n)
+
+
+def lemma_hybrids(p: int, q: int) -> tuple[HybridNumber, ...]:
+    """(HL₀ − cross_shift, HF₀ − omega, HL₀ + square_lucas_shift,
+    HF₀ + square_fib_shift) of (p, q), from one Fibonacci and one Lucas window:
+    the rational hybrids that binet's lemma checks compare with α̲·β̲, β̲·α̲, α̲²
+    and β̲², and that the identity right sides read.  cross_shift is q³+pq−q+1
+    and omega the hybrid (1−p)·i − q·ε + (p²+q+1)·h."""
+    f = SeqCache(fib_params(p, q)).window(0, 6)
+    fib0, lucas0 = HybridNumber(*f[:4]), HybridNumber(*SeqCache(lucas_params(p, q)).window(0, 3))
+    fib_sum = f[6] + 2 * f[3] - f[2]
+    scalar = HybridNumber.from_scalar
+    return (lucas0 - scalar(q**3 + p * q - q + 1),
+            fib0 - HybridNumber(0, 1 - p, -q, p * p + q + 1),
+            lucas0 + scalar(-1 + Fraction(p, 2) * fib_sum + q * (f[5] + 2 * f[2] - f[1])),
+            fib0 + scalar(Fraction(1, 2) * fib_sum))
 
 
 ScalarIdentityReport = namedtuple("ScalarIdentityReport", "ok checked first_failure")

@@ -100,8 +100,9 @@ def test_criterion_04_lemma_fidelity():
         cross_rev = product_betabar_alphabar(ctx)
         alphabar_squared(ctx)
         betabar_squared(ctx)
+        p, q = ctx.params.p, ctx.params.q  # HL₀ − cross_shift, cross_shift = q³+pq−q+1
         expected_sum = (
-            ctx.lucas0 - HybridNumber.from_scalar(Fraction(ctx.cross_shift))
+            hybrid_seq(ctx.params, "lucas", 0) - HybridNumber.from_scalar(Fraction(q**3 + p * q - q + 1))
         ).scale(Fraction(2))
         lifted = HybridNumber(*(QuadExt(c, 0, ctx.disc) for c in expected_sum.parts()))
         ok &= cross + cross_rev == lifted

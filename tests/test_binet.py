@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hybridseq import (
+    BinetContext,
     HoradamParams,
     HybridNumber,
     QuadExt,
@@ -24,25 +25,49 @@ from hybridseq import (
     product_betabar_alphabar,
 )
 from hybridseq import binet, sequences
-from hybridseq.binet import binet_window, lift
+from hybridseq.binet import binet_window, companion_hybrid, lift
+from hybridseq.sequences import lemma_hybrids
 
-from helpers import GRID_PARAMS, GRID_PQ, hybrid_oracle
+from helpers import GRID_PARAMS, GRID_PQ, fib_oracle, hybrid_oracle
 
 
 class TestContextConstants:
-    def test_classical_scalars(self):
-        ctx = make_context(fib_params(1, 1))
-        assert ctx.cross_shift == 2
-        assert ctx.omega == HybridNumber(Fraction(0), Fraction(0), Fraction(-1), Fraction(3))
-        assert ctx.square_lucas_shift == Fraction(21, 2)
-        assert ctx.square_fib_shift == Fraction(11, 2)
+    def test_context_holds_only_the_closed_form(self):
+        assert BinetContext._fields == (
+            "params", "disc", "alpha", "beta", "alpha_weight", "beta_weight")
 
-    def test_built_from_two_windows_without_a_seek(self, monkeypatch):
-        params = HoradamParams(2, -3, 1, 4)
-        expected = make_context(params)
+    def test_classical_lemma_hybrids(self):
+        # HL₀ − cross_shift, HF₀ − omega, HL₀ + square_lucas_shift,
+        # HF₀ + square_fib_shift with cross_shift 2, omega −ε + 3h,
+        # square_lucas_shift 21/2 and square_fib_shift 11/2
+        lucas0, fib0 = HybridNumber(2, 1, 3, 4), HybridNumber(0, 1, 1, 2)
+        scalar = HybridNumber.from_scalar
+        assert lemma_hybrids(1, 1) == (
+            lucas0 - scalar(2),
+            fib0 - HybridNumber(Fraction(0), Fraction(0), Fraction(-1), Fraction(3)),
+            lucas0 + scalar(Fraction(21, 2)),
+            fib0 + scalar(Fraction(11, 2)),
+        )
+
+    def test_lemma_hybrids_match_their_formulas_on_grid(self):
+        for p, q in (*GRID_PQ, (2, -3)):
+            f = [fib_oracle(p, q, k) for k in range(7)]
+            lucas0, fib0 = hybrid_oracle(p, q, 2, p, 0), hybrid_oracle(p, q, 0, 1, 0)
+            square_fib_shift = Fraction(f[6] + 2 * f[3] - f[2], 2)
+            square_lucas_shift = p * square_fib_shift - 1 + q * (f[5] + 2 * f[2] - f[1])
+            scalar = HybridNumber.from_scalar
+            assert lemma_hybrids(p, q) == (
+                lucas0 - scalar(q**3 + p * q - q + 1),
+                fib0 - HybridNumber(0, 1 - p, -q, p * p + q + 1),
+                lucas0 + scalar(square_lucas_shift),
+                fib0 + scalar(square_fib_shift),
+            ), (p, q)
+
+    def test_lemma_hybrids_from_two_windows_without_a_seek(self, monkeypatch):
+        expected = lemma_hybrids(2, -3)
 
         def refused(*args):
-            raise AssertionError("make_context seeks or builds a hybrid_seq cache")
+            raise AssertionError("lemma_hybrids seeks or builds a hybrid_seq cache")
 
         for module in (sequences, binet):  # every name the functions are bound to
             for name, value in list(vars(module).items()):
@@ -52,21 +77,30 @@ class TestContextConstants:
         init = SeqCache.__init__
         monkeypatch.setattr(SeqCache, "__init__",
                             lambda self, params: built.append(params) or init(self, params))
-        assert make_context(params) == expected
+        assert lemma_hybrids(2, -3) == expected
         assert built == [fib_params(2, -3), lucas_params(2, -3)]
-        assert (expected.fib0, expected.lucas0) == (
-            hybrid_oracle(2, -3, 0, 1, 0), hybrid_oracle(2, -3, 2, 2, 0))
+
+    def test_make_context_builds_no_window_and_takes_no_power(self, monkeypatch):
+        built, powers = [], []
+        init, power = SeqCache.__init__, QuadExt.__pow__
+        monkeypatch.setattr(SeqCache, "__init__",
+                            lambda self, params: built.append(params) or init(self, params))
+        monkeypatch.setattr(QuadExt, "__pow__",
+                            lambda self, exponent: powers.append(exponent) or power(self, exponent))
+        for params in GRID_PARAMS:
+            make_context(params)
+        assert (built, powers) == ([], [])
 
     def test_weight_products(self):
-        assert make_context(fib_params(1, 1)).weight_product == 1
-        assert make_context(HoradamParams(1, 1, 1, 1)).weight_product == -1
-        assert make_context(HoradamParams(1, 1, 2, 1)).weight_product == -5
+        assert fib_params(1, 1).weight_product == 1
+        assert HoradamParams(1, 1, 1, 1).weight_product == -1
+        assert HoradamParams(1, 1, 2, 1).weight_product == -5
 
     def test_weight_product_matches_quadext_product(self):
         for params in GRID_PARAMS:
             ctx = make_context(params)
             product = ctx.alpha_weight * ctx.beta_weight
-            assert product.rational_part() == ctx.weight_product
+            assert product == QuadExt(params.weight_product, 0, ctx.disc)
 
     def test_root_relations(self):
         for params in GRID_PARAMS:
@@ -77,12 +111,8 @@ class TestContextConstants:
 
     def test_companion_hybrid_components(self):
         ctx = make_context(fib_params(2, 1))
-        assert ctx.alpha_hybrid.parts() == (
-            QuadExt(1, 0, 8),
-            ctx.alpha,
-            ctx.alpha**2,
-            ctx.alpha**3,
-        )
+        for root in (ctx.alpha, ctx.beta):
+            assert companion_hybrid(root).parts() == (QuadExt(1, 0, 8), root, root**2, root**3)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -144,12 +174,15 @@ class TestProductLemmas:
         )
 
     def test_sum_identity(self):
-        # α̲β̲ + β̲α̲ = 2(HL₀ − cross_shift), rational after projection
+        # α̲β̲ + β̲α̲ = 2(HL₀ − cross_shift), cross_shift = q³+pq−q+1, rational
         for params in GRID_PARAMS:
             ctx = make_context(params)
-            total = product_alphabar_betabar(ctx) + product_betabar_alphabar(ctx)
+            p, q = params.p, params.q
+            alpha_bar, beta_bar = companion_hybrid(ctx.alpha), companion_hybrid(ctx.beta)
+            total = alpha_bar * beta_bar + beta_bar * alpha_bar
+            assert total == product_alphabar_betabar(ctx) + product_betabar_alphabar(ctx)
             expected = (
-                ctx.lucas0 - HybridNumber.from_scalar(Fraction(ctx.cross_shift))
+                hybrid_seq(params, "lucas", 0) - HybridNumber.from_scalar(q**3 + p * q - q + 1)
             ).scale(Fraction(2))
             assert total == lift(expected, ctx.disc)
 
@@ -203,12 +236,12 @@ class TestRootScaledRecurrence:
                 here = lift(hybrid_seq(params, "horadam", n), d)
                 above = lift(hybrid_seq(params, "horadam", n + 1), d)
                 alpha_comb = above.scale(ctx.alpha) + here.scale(QuadExt(q, 0, d))
-                alpha_rhs = ctx.alpha_hybrid.scale(
+                alpha_rhs = companion_hybrid(ctx.alpha).scale(
                     ctx.alpha**n * (ctx.alpha * params.b + q * params.a)
                 )
                 assert alpha_comb == alpha_rhs, (params, n)
                 beta_comb = above.scale(ctx.beta) + here.scale(QuadExt(q, 0, d))
-                beta_rhs = ctx.beta_hybrid.scale(
+                beta_rhs = companion_hybrid(ctx.beta).scale(
                     ctx.beta**n * (ctx.beta * params.b + q * params.a)
                 )
                 assert beta_comb == beta_rhs, (params, n)

@@ -242,18 +242,17 @@ class TestBinet:
         assert len(constructed) <= 4
 
     def test_one_window_read_and_no_hybrid_read(self, capsys, monkeypatch):
-        # the recurrence side is the cap-checked window the lines print from;
-        # make_context reads its own Fibonacci and Lucas windows
+        # the recurrence side is the cap-checked window the lines print from,
+        # and the closed form reads no window
         params = sequences.HoradamParams(2, -3, 1, 4)
         reads = count_seqcache_reads(monkeypatch)
         code, out, _ = run_cli(capsys, "binet", "--p", "2", "--q", "-3", "--a", "1", "--b", "4",
                                "--from", "-20", "--to", "60")
         assert (code, len(out.splitlines())) == (0, 81)
-        assert reads == {("window", params): 1, ("window", sequences.fib_params(2, -3)): 1,
-                         ("window", sequences.lucas_params(2, -3)): 1}
+        assert reads == {("window", params): 1}
 
     def test_one_power_per_window(self, capsys, monkeypatch):
-        # make_context's α², α³, β², β³, then one power for the whole walk
+        # make_context takes none: one power of α for the whole walk
         powers = []
         original_pow = QuadExt.__pow__
 
@@ -262,10 +261,10 @@ class TestBinet:
             return original_pow(self, exponent)
 
         monkeypatch.setattr(QuadExt, "__pow__", counting_pow)
-        code, out, _ = run_cli(capsys, "binet", "--p", "1", "--q", "1", "--from", "0", "--to", "499")
+        code, out, _ = run_cli(capsys, "binet", "--p", "1", "--q", "1", "--from", "-7", "--to", "499")
         assert code == 0
-        assert len(out.splitlines()) == 500
-        assert len(powers) <= 5
+        assert len(out.splitlines()) == 507
+        assert powers == [-7]
 
 
 class TestChar:
@@ -377,6 +376,9 @@ OVER_CAP_REQUESTS = [
       "--format", "csv"), "n", 20575),
     (("seq", "--p", "1", "--q", "2", "--from", "-14300", "--to", "-14280",
       "--kind", "scalar"), "n", -14300),
+    # only the denominator, 3⁹¹⁰⁰ (4,342 digits), passes the cap; the numerator has 2,171
+    (("seq", "--p", "1", "--q", "-3", "--from", "-9100", "--to", "-9090",
+      "--kind", "scalar"), "n", -9100),
     (("binet", "--p", "1", "--q", "1", "--from", "21000", "--to", "21001"), "n", 21000),
     (("expand", "--p", str(10**30), "--q", "1", "--terms", "200"), "r", 142),
 ]

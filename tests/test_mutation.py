@@ -16,10 +16,10 @@ A run holds its product memo for one suite over one parameter set at a
 time, which would hide a memo key that drops the parameter sets from most
 suites; ``MEMO_KILLS`` plants that key and pins the suites that still see it.
 
-The four lemma hybrids have one definition, ``binet.lemma_hybrids``, read
-by binet's lemma checks and by the right sides; a unit planted there fails
-the lemma check that reads it and the suites of the matching ``rhs_consts``
-row.
+The four lemma hybrids have one definition, ``sequences.lemma_hybrids(p, q)``,
+read by binet's lemma checks and by the right sides; a unit planted there
+fails the lemma check that reads it and the suites of the matching
+``rhs_consts`` row.
 
 Every suite runs through one report builder and counts its cases from its
 row's closed forms; ``SHARED_PATH_KILLS`` plants one bug in each and pins
@@ -33,8 +33,8 @@ The other commands rest on checks of their output; ``COMMAND_KILLS`` plants
 one bug each in the negative branch of ``sequences._seek``, in
 ``cli._rendered`` and in ``cli._over_cap``, and pins the command checks
 that fail under it: golden stream digests, binet's exit 1, expand's
-``matches_seq`` and the cap's error line.  A mutant that no check kills is
-pinned to the empty set.
+``matches_seq`` and the cap's error line.  A mutant that no check kills would
+be pinned to the empty set.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ from test_cli import GOLDEN_DIGESTS, OVER_CAP_REQUESTS
 MUTATION_GRID = GridConfig(ps=(1, 2), qs=(-1, 2), ab=((0, 1), (2, 3)), nmax=4, rmax=2)
 
 def _rhs_const_mutant(index: int, component: str):
-    """One unit added to one component of one `_rhs_consts` hybrid."""
+    """One unit added to one component of one lemma hybrid the right sides read."""
 
     def install(monkeypatch) -> None:
-        original = identities._rhs_consts
+        original = identities.lemma_hybrids
 
         def mutated(p, q):
             consts = list(original(p, q))
@@ -72,7 +72,7 @@ def _rhs_const_mutant(index: int, component: str):
             consts[index] = z._replace(**{component: getattr(z, component) + 1})
             return tuple(consts)
 
-        monkeypatch.setattr(identities, "_rhs_consts", mutated)
+        monkeypatch.setattr(identities, "lemma_hybrids", mutated)
 
     return install
 
@@ -218,7 +218,7 @@ def test_values_computed_under_a_mutant_do_not_outlive_its_run(monkeypatch):
 
 
 # --- the lemma hybrids: one definition, read by binet's lemma checks and by
-# the right sides (through _rhs_consts) ---
+# the right sides ---
 
 _CROSS_CHECKS = (binet.product_alphabar_betabar, binet.product_betabar_alphabar)
 _SQUARE_CHECKS = (binet.alphabar_squared, binet.betabar_squared)
@@ -227,15 +227,16 @@ _SQUARE_CHECKS = (binet.alphabar_squared, binet.betabar_squared)
 @pytest.mark.parametrize("component", HybridNumber._fields)
 @pytest.mark.parametrize("index", range(4))
 def test_a_planted_lemma_hybrid_fails_its_check_and_its_suites(index, component, monkeypatch):
-    original = binet.lemma_hybrids
+    original = sequences.lemma_hybrids
 
-    def mutated(ctx):
-        consts = list(original(ctx))
+    def mutated(p, q):
+        consts = list(original(p, q))
         z = consts[index]
         consts[index] = z._replace(**{component: getattr(z, component) + 1})
         return tuple(consts)
 
-    for module in (binet, identities):
+    for module in (sequences, binet, identities):  # every module it is bound in
+        assert module.lemma_hybrids is original
         monkeypatch.setattr(module, "lemma_hybrids", mutated)
     ctx = binet.make_context(HoradamParams(2, -3, 1, 1))
     failing, passing = ((_CROSS_CHECKS, _SQUARE_CHECKS) if index < 2
@@ -477,8 +478,10 @@ COMMAND_KILLS = {
     "_rendered: drops the last text": (_rendered_mutant, {
         f"digest: {command}" for command in (*_BINET_BELOW_0, *_HYBRID_SEQ, "binet --p 1 --q 1 --to 300")
     }),
-    # survives: no checked request has a value whose denominator alone passes the cap
-    "_over_cap: denominator unchecked": (_over_cap_mutant, set()),
+    # the one over-cap request whose denominator alone passes the cap
+    "_over_cap: denominator unchecked": (_over_cap_mutant, {
+        "digit cap: seq --p 1 --q -3 --from -9100 --to -9090 --kind scalar",
+    }),
 }
 
 

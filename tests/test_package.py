@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import hybridseq
+from hybridseq import binet
 from hybridseq import (
     GridConfig,
     GridConfigError,
@@ -158,6 +159,14 @@ class TestImportFootprint:
     def test_table_and_char_skip_sequences(self, command):
         assert "hybridseq.sequences" not in _loaded_by(COMMANDS[command])
 
+    @pytest.mark.parametrize("argv", [("verify",), ("verify", "--suite", "cassini", "--audit"),
+                                      ("verify", "--format", "csv")])
+    def test_verify_skips_closed_forms(self, argv):
+        # the right sides read sequences.lemma_hybrids; no Q[s] context is built
+        loaded = _loaded_by(argv)
+        assert "hybridseq.identities" in loaded
+        assert "hybridseq.binet" not in loaded
+
     def test_binet_skips_series_and_verifier(self):
         loaded = _loaded_by(COMMANDS["binet"])
         assert "hybridseq.binet" in loaded
@@ -240,11 +249,11 @@ class TestRecordTypes:
             "GridConfig(ps=(1,), qs=(1,), ab=((0, 1),), nmax=2, rmax=1)"
         )
 
-    def test_repr_in_lemma_mismatch_text(self):
+    def test_repr_in_lemma_mismatch_text(self, monkeypatch):
         one = HybridNumber(1, 0, 0, 0)
-        ctx = make_context(fib_params(1, 1))._replace(alpha_hybrid=one, beta_hybrid=one)
+        monkeypatch.setattr(binet, "companion_hybrid", lambda root: one)  # α̲ = β̲ = 1
         with pytest.raises(LemmaMismatchError, match=r"HybridNumber\(s=1, i=0, e=0, h=0\)"):
-            product_alphabar_betabar(ctx)
+            product_alphabar_betabar(make_context(fib_params(1, 1)))
 
     def test_keyword_construction(self):
         params = HoradamParams(p=1, q=1, a=0, b=1)
