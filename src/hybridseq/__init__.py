@@ -32,13 +32,12 @@ SEQ_KINDS = ("fib", "lucas", "horadam")
 _EXPORTS = {
     **dict.fromkeys(
         ("BinetContext", "LemmaMismatchError", "alphabar_squared", "betabar_squared",
-         "binet_fib", "binet_horadam", "binet_lucas", "make_context",
-         "product_alphabar_betabar", "product_betabar_alphabar"),
+         "binet_horadam", "make_context", "product_alphabar_betabar",
+         "product_betabar_alphabar"),
         "binet",
     ),
     **dict.fromkeys(
-        ("IrrationalResidueError", "QuadExt", "Rational", "format_rational",
-         "parse_rational", "roots"),
+        ("IrrationalResidueError", "QuadExt", "format_rational", "parse_rational", "roots"),
         "exactarith",
     ),
     **dict.fromkeys(
@@ -47,7 +46,7 @@ _EXPORTS = {
         "genfunc",
     ),
     **dict.fromkeys(
-        ("BASIS", "BASIS_LABELS", "HybridNorm", "HybridNumber", "basis_table", "commutator",
+        ("BASIS", "BASIS_LABELS", "HybridNorm", "HybridNumber", "basis_table",
          "format_basis_product"),
         "hybrid",
     ),
@@ -61,7 +60,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ("HoradamParams", "ScalarIdentityReport", "SeqCache", "fib", "fib_params", "horadam",
-         "horadam_fast", "hybrid_seq", "lucas", "lucas_params", "verify_scalar_identities"),
+         "horadam_fast", "hybrid_seq", "lucas_params", "verify_scalar_identities"),
         "sequences",
     ),
 }

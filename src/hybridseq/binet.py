@@ -70,16 +70,6 @@ def binet_horadam(ctx: BinetContext, n: int) -> HybridNumber:
     return binet_window(ctx, n, n)[0]
 
 
-def binet_fib(ctx: BinetContext, n: int) -> HybridNumber:
-    """Closed-form HF_n: the walk with weight A = 1 (seeds 0, 1)."""
-    return binet_horadam(ctx._replace(alpha_weight=QuadExt(1, 0, ctx.disc)), n)
-
-
-def binet_lucas(ctx: BinetContext, n: int) -> HybridNumber:
-    """Closed-form HL_n: the walk with weight A = s (seeds 2, p)."""
-    return binet_horadam(ctx._replace(alpha_weight=QuadExt(0, 1, ctx.disc)), n)
-
-
 def _checked(ctx: BinetContext, x: QuadExt, y: QuadExt, first: int, factor: int,
              label: str) -> HybridNumber:
     """The direct product x̲·y̲ of two companion hybrids, checked against

@@ -270,6 +270,11 @@ def cmd_verify(args: Namespace, out: _Blocks) -> int:
             f"suite {args.suite!r} has {cases} cases on this grid, "
             f"over the case budget of {CASE_BUDGET}"
         )
+    if not cases:  # every row has a case on each parameter set, so there is none
+        raise identities.GridConfigError(
+            "nothing to verify: the grid has no parameter set "
+            "(every (p, q) pair has p²+4q = 0)"
+        )
     if not identities.case_count(config, args.suite, gated=True):
         raise identities.GridConfigError(
             f"nothing to verify: suite {args.suite!r} has no gated case on this grid "

@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 
-Rational = Fraction
-
 DIGIT_CAP = 4300  # most digits of a numerator or denominator (CPython's int-str limit)
 # A decimal, int(whole + frac)·10^(exp − len(frac)); Fraction refuses a longer exp
 _DECIMAL = re.compile(rf"[-+]?(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d{{1,{DIGIT_CAP}}}))?")
@@ -130,10 +128,6 @@ class QuadExt:
             raise ValueError(f"mixed discriminants: s²={self.d} vs s²={other.d}")
         return self.d
 
-    def _scaled(self, num: int, den: int) -> QuadExt:
-        """self · num/den for integers num and den > 0."""
-        return _reduced(self._x * num, self._y * num, self._den * den, self.d)
-
     def __add__(self, other: QuadExt | int | Fraction) -> QuadExt:
         if isinstance(other, QuadExt):
             self._check(other)
@@ -165,23 +159,11 @@ class QuadExt:
             x1, y1, x2, y2 = self._x, self._y, other._x, other._y
             return _reduced(x1 * x2 + d * y1 * y2, x1 * y2 + y1 * x2, self._den * other._den, d)
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other.numerator, other.denominator)
+            num = other.numerator
+            return _reduced(self._x * num, self._y * num, self._den * other.denominator, self.d)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: QuadExt | int | Fraction) -> QuadExt:
-        if isinstance(other, (int, Fraction)):
-            num, den = other.denominator, other.numerator
-            if den == 0:
-                raise ZeroDivisionError("QuadExt division by zero")
-            return self._scaled(-num, -den) if den < 0 else self._scaled(num, den)
-        if not isinstance(other, QuadExt):
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other: int | Fraction) -> QuadExt:
-        return self.inverse() * other
 
     def __pow__(self, exponent: int) -> QuadExt:
         base = self if exponent >= 0 else self.inverse()
@@ -218,16 +200,8 @@ class QuadExt:
     def __str__(self) -> str:
         return f"{format_rational(self.x)} + {format_rational(self.y)}·s"
 
-    def conjugate(self) -> QuadExt:
-        """The s ↦ −s conjugate (x, −y)."""
-        return _raw(self._x, -self._y, self._den, self.d)
-
-    def norm(self) -> int | Fraction:
-        """The rational x² − D·y² (equals self · conjugate)."""
-        return _rational(self._x * self._x - self.d * self._y * self._y, self._den * self._den)
-
     def inverse(self) -> QuadExt:
-        """Multiplicative inverse; requires norm ≠ 0."""
+        """Multiplicative inverse; requires the norm x² − D·y² to be nonzero."""
         # ((X + Y·s)/den)⁻¹ = den·(X − Y·s)/(X² − D·Y²)
         n = self._x * self._x - self.d * self._y * self._y
         if n == 0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .exactarith import format_rational, parse_rational
+from .exactarith import format_rational
 
 
 class HybridNumber(namedtuple("HybridNumber", "s i e h")):
@@ -118,17 +118,8 @@ class HybridNumber(namedtuple("HybridNumber", "s i e h")):
             "h": format_rational(self.h),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> HybridNumber:
-        return cls(*(parse_rational(data[key]) for key in ("s", "i", "e", "h")))
-
 
 HybridNorm = namedtuple("HybridNorm", "value sign_class")
-
-
-def commutator(z: HybridNumber, w: HybridNumber) -> HybridNumber:
-    """z·w − w·z."""
-    return z * w - w * z
 
 
 ONE = HybridNumber(1, 0, 0, 0)

@@ -71,7 +71,6 @@ class VerificationReport(namedtuple("VerificationReport", "case lhs variants ver
 
     __slots__ = ()
     lhs = property(lambda self: _value(self[1]))
-    rhs_printed = property(lambda self: self[2][0].value)
     authoritative_passed = property(lambda self: self[2][-1].passed)
 
 
@@ -552,9 +551,6 @@ class SuiteResult:
         """(verdict counts, extended cases, extended failures, gate)."""
         return (dict(self.verdict_counts), self.extended_cases, self.extended_failures,
                 self.all_authoritative_pass)
-
-    # the kept reports whose printed variant failed
-    printed_failures = property(lambda self: [r for r in self.reports if r.verdict != VERDICT_PASS])
 
 
 def run_suite(config: GridConfig | None = None, suite: str = "all",

@@ -117,11 +117,6 @@ def fib(p: int, q: int, n: int) -> int | Fraction:
     return horadam(fib_params(p, q), n)
 
 
-def lucas(p: int, q: int, n: int) -> int | Fraction:
-    """(p,q)-Lucas number: seeds (2, p)."""
-    return horadam(lucas_params(p, q), n)
-
-
 class SeqCache:
     """Memoized two-sided sequence evaluator.
 

@@ -106,18 +106,12 @@ class FracQuad:
             self.d,
         )
 
-    def conjugate(self) -> FracQuad:
-        return FracQuad(self.x, -self.y, self.d)
-
     def norm(self) -> Fraction:
         return self.x * self.x - self.d * self.y * self.y
 
     def inverse(self) -> FracQuad:
         n = self.norm()
         return FracQuad(self.x / n, -self.y / n, self.d)
-
-    def __truediv__(self, other: FracQuad) -> FracQuad:
-        return self * other.inverse()
 
     def __pow__(self, exponent: int) -> FracQuad:
         base = self if exponent >= 0 else self.inverse()

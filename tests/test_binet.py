@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,9 +15,7 @@ from hybridseq import (
     SeqCache,
     alphabar_squared,
     betabar_squared,
-    binet_fib,
     binet_horadam,
-    binet_lucas,
     fib_params,
     hybrid_seq,
     lucas_params,
@@ -148,22 +147,25 @@ class TestBinetValues:
 
     def test_fib_specialization(self):
         ctx = make_context(fib_params(1, 1))
-        assert binet_fib(ctx, 1) == HybridNumber(1, 1, 2, 3)
+        assert binet_horadam(ctx, 1) == HybridNumber(1, 1, 2, 3)
 
     def test_lucas_specialization(self):
-        ctx = make_context(fib_params(1, 1))
-        assert binet_lucas(ctx, 0) == HybridNumber(2, 1, 3, 4)
+        ctx = make_context(lucas_params(1, 1))
+        assert binet_horadam(ctx, 0) == HybridNumber(2, 1, 3, 4)
 
     def test_pell_block(self):
         ctx = make_context(fib_params(2, 1))
-        assert binet_fib(ctx, 2) == HybridNumber(2, 5, 12, 29)
+        assert binet_horadam(ctx, 2) == HybridNumber(2, 5, 12, 29)
 
     def test_division_free_lucas_path(self):
+        # the Lucas seeds (2, p) give the weight A = p − 2β = s, the Fibonacci seeds A = 1
         for p, q in GRID_PQ:
-            ctx = make_context(fib_params(p, q))
+            lucas_ctx, fib_ctx = make_context(lucas_params(p, q)), make_context(fib_params(p, q))
+            assert (lucas_ctx.alpha_weight, fib_ctx.alpha_weight) == (
+                QuadExt(0, 1, lucas_ctx.disc), QuadExt(1, 0, fib_ctx.disc))
             for n in range(-4, 12):
-                assert binet_lucas(ctx, n) == hybrid_seq(ctx.params, "lucas", n)
-                assert binet_fib(ctx, n) == hybrid_seq(ctx.params, "fib", n)
+                assert binet_horadam(lucas_ctx, n) == hybrid_seq(lucas_ctx.params, "lucas", n)
+                assert binet_horadam(fib_ctx, n) == hybrid_seq(fib_ctx.params, "fib", n)
 
 
 class TestProductLemmas:
@@ -213,9 +215,10 @@ class TestSquareLemmas:
         assert alphabar_squared(ctx).i == QuadExt(1, 1, 5)
 
     def test_beta_square_is_conjugate_mirror(self):
+        # β̲² is α̲² under the s ↦ −s conjugation, component by component
         for params in GRID_PARAMS[:8]:
             ctx = make_context(params)
-            mirrored = HybridNumber(*(c.conjugate() for c in alphabar_squared(ctx).parts()))
+            mirrored = HybridNumber(*(QuadExt(c.x, -c.y, c.d) for c in alphabar_squared(ctx).parts()))
             assert betabar_squared(ctx) == mirrored
 
     def test_closed_forms_hold_on_grid(self):
@@ -223,6 +226,53 @@ class TestSquareLemmas:
             ctx = make_context(params)
             alphabar_squared(ctx)
             betabar_squared(ctx)
+
+
+# The lemma checks as polynomials in (p, q): every term has weight at most
+# LEMMA_WEIGHT when p and s weigh 1 and q weighs 2 (see prove_lemmas), so each
+# has degree at most LEMMA_WEIGHT in p and LEMMA_WEIGHT // 2 in q.
+LEMMA_WEIGHT = 6
+LEMMA_DEG_P, LEMMA_DEG_Q = LEMMA_WEIGHT, LEMMA_WEIGHT // 2
+LEMMA_PROOF_GRID = tuple(product(range(LEMMA_DEG_P + 1), range(1, LEMMA_DEG_Q + 2)))
+LEMMA_CHECKS = (product_alphabar_betabar, product_betabar_alphabar, alphabar_squared,
+                betabar_squared)
+
+
+def prove_lemmas() -> None:
+    """Run the four lemma checks on p ∈ {0, …, 6} × q ∈ {1, …, 4}, which
+    proves them for every (p, q) with q ≠ 0 and p² + 4q ≠ 0.
+
+    Write D = p² + 4q.  A check compares, component by component, a product
+    of the companion hybrids in Q[s]/(s² − D) with its closed form from
+    ``lemma_hybrids(p, q)``.  Over Q[p, q], with α = (p + s)/2, β = (p − s)/2
+    and s² reduced to p² + 4q, the difference is c₀ + c₁·s for polynomials
+    c₀ and c₁ in p and q, and the check passes at (p, q) exactly when both
+    vanish there (1 and s are a basis of the ring).
+
+    Weight p and s by 1 and q by 2.  Then α and β weigh 1, a companion
+    component α^k weighs k ≤ 3, and a product of two companions weighs at
+    most 6.  On the closed-form side, HL₀ weighs at most 3, cross_shift's q³
+    weighs 6, and q·s·(HF₀ − omega) at most 5.  The square shifts' p/2·F₆
+    and q·F₅ weigh 6, and s·(HF₀ + square_fib_shift) weighs 6 as well.
+    Reducing s² to p² + 4q keeps the weight.  So every monomial pⁱqʲ of c₀
+    or c₁ has i + 2j ≤ 6: deg_p ≤ 6 and deg_q ≤ 3.
+
+    By Alon's Lemma 2.1 (Combinatorial Nullstellensatz, Combin. Probab.
+    Comput. 8, 1999), a polynomial of degree at most t_v in each variable v
+    that vanishes on a product grid S_p × S_q with |S_v| > t_v is zero.
+    The grid here has 7 values of p and 4 of q, so a pass on all of it makes
+    c₀ and c₁ zero, and the lemmas hold wherever they are defined.  q ≥ 1
+    keeps q ≠ 0 and D > 0 at every grid point, so every check there is
+    defined.  A mismatch raises ``LemmaMismatchError``.
+    """
+    for p, q in LEMMA_PROOF_GRID:
+        ctx = make_context(fib_params(p, q))
+        for check in LEMMA_CHECKS:
+            check(ctx)
+
+
+def test_lemmas_hold_for_every_pq():
+    prove_lemmas()
 
 
 class TestRootScaledRecurrence:

@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from hybridseq import HybridNumber, QuadExt, binet, cli, genfunc, identities, sequences
+from hybridseq import (
+    HybridNumber, QuadExt, binet, cli, genfunc, identities, parse_rational, sequences,
+)
 from hybridseq.cli import CASE_BUDGET, DIGIT_CAP, TERM_CAP, _over_cap, main
 
 from helpers import count_seqcache_reads
@@ -147,7 +149,7 @@ class TestSeq:
         _, out, _ = run_cli(capsys, "seq", "--p", "2", "--q", "-1", "--from", "0", "--to", "5")
         for line in out.splitlines():
             payload = json.loads(line)
-            z = HybridNumber.from_json_dict(payload["hybrid"])
+            z = HybridNumber(*map(parse_rational, payload["hybrid"].values()))
             assert z.to_json_dict() == payload["hybrid"]
 
     def test_csv(self, capsys):
@@ -618,6 +620,17 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--suite", "cassini", "--grid", str(grid))
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: nothing to verify")
+
+    @pytest.mark.parametrize("suite", ["all", "cassini", "adjacent-commutator"])
+    def test_a_grid_of_degenerate_pairs_names_the_missing_parameter_sets(self, capsys, tmp_path,
+                                                                       suite):
+        # 0 cases: no case is a probe, so the reason is that no parameter set exists
+        grid = tmp_path / "grid.txt"
+        grid.write_text("p=-2,2\nq=-1\n")
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--grid", str(grid))
+        assert (code, out) == (2, "")
+        assert err == ("error: nothing to verify: the grid has no parameter set "
+                       "(every (p, q) pair has p²+4q = 0)\n")
 
     @pytest.mark.parametrize("extra,streams", [((), True), (("--format", "csv"), False),
                                                (("--audit",), False)])

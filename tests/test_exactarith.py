@@ -30,6 +30,11 @@ def quad(d: int):
     return st.builds(lambda x, y: QuadExt(x, y, d), rationals, rationals)
 
 
+def conj(u: QuadExt) -> QuadExt:
+    """The s ↦ −s conjugate (x, −y)."""
+    return QuadExt(u.x, -u.y, u.d)
+
+
 class TestRationalWireFormat:
     def test_integer_shorthand(self):
         assert format_rational(Fraction(5)) == "5"
@@ -165,10 +170,10 @@ class TestQuadExt:
         assert u + Fraction(1, 2) == QuadExt(Fraction(3, 2), 2, 5)
         assert 1 - u == QuadExt(0, -2, 5)
 
-    def test_scalar_divided_by_an_element(self):
+    def test_scalar_times_an_inverse(self):
         u = QuadExt(1, 1, 5)  # (1 + s)⁻¹ = (1 − s)/(1 − 5)
-        assert 2 / u == QuadExt(Fraction(-1, 2), Fraction(1, 2), 5)
-        assert Fraction(1, 3) / u == QuadExt(Fraction(-1, 12), Fraction(1, 12), 5)
+        assert 2 * u.inverse() == QuadExt(Fraction(-1, 2), Fraction(1, 2), 5)
+        assert Fraction(1, 3) * u.inverse() == QuadExt(Fraction(-1, 12), Fraction(1, 12), 5)
 
     def test_str(self):
         assert str(QuadExt(Fraction(1, 2), -3, 5)) == "1/2 + -3·s"
@@ -230,7 +235,8 @@ class TestPow:
     def test_non_invertible_negative_power(self):
         # norm x² − Dy² = 0 for (2, 1) with D = 4
         u = QuadExt(2, 1, 4)
-        assert u.norm() == 0
+        with pytest.raises(ZeroDivisionError):
+            u.inverse()
         with pytest.raises(ZeroDivisionError):
             u**-1
 
@@ -288,12 +294,14 @@ class TestRingLaws:
 
     @given(quad(-7), quad(-7))
     def test_conjugation_multiplicative(self, u, v):
-        assert (u * v).conjugate() == u.conjugate() * v.conjugate()
+        assert conj(u * v) == conj(u) * conj(v)
 
     @given(quad(8))
     def test_norm_is_self_times_conjugate(self, u):
-        assert u * u.conjugate() == QuadExt(u.norm(), 0, 8)
-        assert u.norm() == u.x * u.x - 8 * u.y * u.y
+        norm = u.x * u.x - 8 * u.y * u.y
+        assert u * conj(u) == QuadExt(norm, 0, 8)
+        if norm != 0:
+            assert u.inverse() == conj(u) * (1 / Fraction(norm))
 
 
 def test_alpha_powers_expand_in_fib_basis():
@@ -321,10 +329,7 @@ class TestIntegerNumerators:
         assert self.same(u + v, ru + rv)
         assert self.same(u - v, ru - rv)
         assert self.same(u * v, ru * rv)
-        assert self.same(u.conjugate(), ru.conjugate())
-        assert u.norm() == ru.norm()
         if rv.norm() != 0:
-            assert self.same(u / v, ru / rv)
             assert self.same(v.inverse(), rv.inverse())
 
     @given(st.sampled_from((5, -7, 8, 13)), rationals, rationals, st.integers(-7, 7))
@@ -344,8 +349,6 @@ class TestIntegerNumerators:
         assert self.same(u + k, ref + scalar)
         assert self.same(k - u, scalar - ref)
         assert self.same(u * x, ref * FracQuad(x, 0, 5))
-        if k:
-            assert self.same(u / k, ref / scalar)
 
     @given(rationals, rationals)
     def test_int_and_fraction_components_equal_and_hash_equal(self, x, y):
@@ -377,7 +380,8 @@ class TestIntegerNumerators:
         assert (alpha**5 + beta**5).rational_part() == 2**5 + 5 * 2**3 * 3 + 5 * 2 * 9
 
     def test_division_by_zero_scalar(self):
+        # dividing is multiplying by an inverse, and a zero scalar has none
         with pytest.raises(ZeroDivisionError):
-            QuadExt(1, 1, 5) / 0
+            QuadExt(1, 1, 5) * QuadExt(0, 0, 5).inverse()
         with pytest.raises(ZeroDivisionError):
-            QuadExt(1, 1, 5) / Fraction(0)
+            QuadExt(1, 1, 5) * QuadExt(Fraction(0), 0, 5) ** -1

@@ -59,7 +59,7 @@ class TestCatalan:
         report = catalan(ctx_for(1, 1, 0, 1), 3, 0)
         assert report.verdict == VERDICT_PASS
         assert report.lhs == HybridNumber(0, 0, 0, 0)
-        assert report.rhs_printed == HybridNumber(0, 0, 0, 0)
+        assert report.variants[0].value == HybridNumber(0, 0, 0, 0)
 
     def test_classical_spot(self):
         report = catalan(ctx_for(1, 1, 0, 1), 1, 1)
@@ -101,7 +101,7 @@ class TestCassini:
         for params in GRID_PARAMS[:8]:
             ctx = make_context(params)
             for m in range(1, 11):
-                assert cassini(ctx, m).rhs_printed == catalan(ctx, m, 1).rhs_printed
+                assert cassini(ctx, m).variants[0].value == catalan(ctx, m, 1).variants[0].value
 
     def test_domain_enforced(self):
         with pytest.raises(ValueError):
@@ -136,7 +136,7 @@ class TestDocagne:
                 reduced = docagne(ctx, r, r - 1)
                 reference = cassini(ctx, r)
                 assert reduced.lhs == reference.lhs
-                assert reduced.rhs_printed == reference.rhs_printed
+                assert reduced.variants[0].value == reference.variants[0].value
 
 
 class TestAdjacentCommutator:
@@ -147,7 +147,7 @@ class TestAdjacentCommutator:
 
     def test_second_spot(self):
         report = adjacent_commutator(ctx_for(1, 1, 0, 1), 1)
-        assert report.rhs_printed == HybridNumber(0, 1, 2, -1).scale(2)
+        assert report.variants[0].value == HybridNumber(0, 1, 2, -1).scale(2)
         assert report.verdict == VERDICT_PASS
 
     def test_zero_seeds(self):
@@ -180,7 +180,7 @@ class TestLucasFibExchange:
                         forward = lucas_fib_exchange(params, n, r, s)
                         backward = lucas_fib_exchange(params, n, s, r)
                         assert forward.lhs == -backward.lhs
-                        assert forward.rhs_printed == -backward.rhs_printed
+                        assert forward.variants[0].value == -backward.variants[0].value
 
 
 class TestSquareDifference:
@@ -461,7 +461,7 @@ class TestSuite:
 
     def test_audit_failures_localized_to_known_identities(self):
         result = run_suite(SMALL_GRID)
-        flagged = {r.case.name for r in result.printed_failures}
+        flagged = {r.case.name for r in result.reports if r.verdict != VERDICT_PASS}
         assert flagged <= {"square-difference", "horadam-commutator", "diag-commutator"}
         assert "horadam-commutator" in flagged
 

@@ -19,7 +19,8 @@ suites; ``MEMO_KILLS`` plants that key and pins the suites that still see it.
 The four lemma hybrids have one definition, ``sequences.lemma_hybrids(p, q)``,
 read by binet's lemma checks and by the right sides; a unit planted there
 fails the lemma check that reads it and the suites of the matching
-``rhs_consts`` row.
+``rhs_consts`` row.  A term that vanishes at p = 1, 2 and 3, the default
+grid's p values, is caught by the lemma proof over every (p, q).
 
 Every suite runs through one report builder and counts its cases from its
 row's closed forms; ``SHARED_PATH_KILLS`` plants one bug in each and pins
@@ -31,10 +32,12 @@ the lines it must report as divergent, with both values.
 
 The other commands rest on checks of their output; ``COMMAND_KILLS`` plants
 one bug each in the negative branch of ``sequences._seek``, in
-``cli._rendered`` and in ``cli._over_cap``, and pins the command checks
-that fail under it: golden stream digests, binet's exit 1, expand's
-``matches_seq`` and the cap's error line.  A mutant that no check kills would
-be pinned to the empty set.
+``cli._rendered``, in ``cli._over_cap``, in ``identities.case_count`` and in
+the scaled root of ``HybridNumber.norm``, and pins the command checks that
+fail under it: golden stream digests, binet's exit 1, expand's
+``matches_seq``, the cap's error line and verify's refusal line for a grid
+it must not run.  A mutant that no check kills would be pinned to the empty
+set.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ from hybridseq import (
     sequences,
 )
 
-from helpers import rand_hybrid
+from helpers import GRID_PARAMS, rand_hybrid
+from test_binet import LEMMA_CHECKS, prove_lemmas
 from test_cli import GOLDEN_DIGESTS, OVER_CAP_REQUESTS
 
 MUTATION_GRID = GridConfig(ps=(1, 2), qs=(-1, 2), ab=((0, 1), (2, 3)), nmax=4, rmax=2)
@@ -249,6 +253,24 @@ def test_a_planted_lemma_hybrid_fails_its_check_and_its_suites(index, component,
     assert failing_suites(MUTATION_GRID) == KILL_MATRIX[f"rhs_consts[{index}].{component}+1"]
 
 
+def test_the_lemma_proof_kills_a_term_that_vanishes_on_the_default_ps(monkeypatch):
+    """(p − 1)(p − 2)(p − 3)·ε added to HF₀ − omega: zero at the default grid's
+    p values, where every lemma check passes, and caught on the proof grid."""
+    original = sequences.lemma_hybrids
+    mutated = _mutated(original, "fib0 - HybridNumber(0, 1 - p, -q, p * p + q + 1),",
+                       "fib0 - HybridNumber(0, 1 - p, -q, p * p + q + 1)"
+                       " + HybridNumber(0, 0, (p - 1) * (p - 2) * (p - 3), 0),")
+    for module in (sequences, binet, identities):  # every module it is bound in
+        assert module.lemma_hybrids is original
+        monkeypatch.setattr(module, "lemma_hybrids", mutated)
+    assert mutated(4, 1) != original(4, 1)
+    for params in GRID_PARAMS:
+        for check in LEMMA_CHECKS:
+            check(binet.make_context(params))
+    with pytest.raises(binet.LemmaMismatchError):
+        prove_lemmas()
+
+
 # --- mutants compiled from a function's source ---
 
 
@@ -416,10 +438,24 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def failing_command_checks() -> set[str]:
+# verify requests that it refuses before any case: name -> (suite, grid file,
+# the one error line); each count is written out, not taken from case_count
+REFUSED_GRIDS = {
+    "no parameter set": ("all", "p=-2,2\nq=-1\n",
+        "error: nothing to verify: the grid has no parameter set (every (p, q) pair has p²+4q = 0)"),
+    "cassini, no gated case": ("cassini", "nmax=0\n",
+        "error: nothing to verify: suite 'cassini' has no gated case on this grid "
+        "(200 cases, all extended-domain probes)"),
+    "over the case budget": ("all", "nmax=100000\n",
+        "error: suite 'all' has 200125003030 cases on this grid, over the case budget of 250000"),
+}
+
+
+def failing_command_checks(tmp_path) -> set[str]:
     """The command checks that fail: a golden stream's digest, a golden binet
     request's exit 1 (its walk disagrees with the recurrence), a golden expand
-    request's matches_seq, and an over-cap request's one cap error line."""
+    request's matches_seq, an over-cap request's one cap error line, and a
+    refused grid's one error line."""
     failed = set()
     for command, digest in _CHECKED_STREAMS.items():
         code, out, _ = _run(command.split())
@@ -433,6 +469,11 @@ def failing_command_checks() -> set[str]:
         error = f"error: {name}={index} needs a value of more than {cli.DIGIT_CAP} digits (the output cap)\n"
         if _run(list(argv)) != (2, "", error):
             failed.add(f"digit cap: {' '.join(argv)}")
+    grid = tmp_path / "refused.grid"
+    for name, (suite, text, error) in REFUSED_GRIDS.items():
+        grid.write_text(text)
+        if _run(["verify", "--suite", suite, "--grid", str(grid)]) != (2, "", error + "\n"):
+            failed.add(f"refusal: {name}")
     return failed
 
 
@@ -454,6 +495,19 @@ def _over_cap_mutant(monkeypatch) -> None:
     monkeypatch.setattr(cli, "_over_cap", over_cap)
 
 
+def _case_count_mutant(monkeypatch) -> None:
+    """case_count reads cassini's closed-form count one too high per parameter set."""
+    count = _mutated(identities.case_count, "row.count(n, r)",
+                     "(row.count(n, r) + (row.rhs is _cassini_rhs))")
+    monkeypatch.setattr(identities, "case_count", count)
+
+
+def _norm_root_mutant(monkeypatch) -> None:
+    """The scaled root scales the radicand by 2ᵏ in place of 4ᵏ = (2ᵏ)²."""
+    norm = _mutated(HybridNumber.norm, "num * 4**k // den", "num * 2**k // den")
+    monkeypatch.setattr(HybridNumber, "norm", norm)
+
+
 _BINET_BELOW_0 = (
     "binet --p -2 --q 3 --a 3 --b -1 --from -80 --to 50 --format csv",
     "binet --p 3 --q -2 --seq lucas --from -90 --to 10",
@@ -462,6 +516,7 @@ _HYBRID_SEQ = ("seq --p 2 --q 3 --from -1000 --to 1000", "seq --p 2 --q 3 --from
 
 # mutant -> (its install, and the command checks that fail under it)
 COMMAND_KILLS = {
+    "control: the code as written": (lambda monkeypatch: None, set()),
     # every golden window that starts below 0 (none has q = 1, where the
     # mutant changes nothing), and binet's cross-check on both of its own
     "_seek: q^(k+1) below index 0": (_seek_negative_mutant, {
@@ -482,11 +537,19 @@ COMMAND_KILLS = {
     "_over_cap: denominator unchecked": (_over_cap_mutant, {
         "digit cap: seq --p 1 --q -3 --from -9100 --to -9090 --kind scalar",
     }),
+    # the count a refusal prints, and the cassini grid whose gated count is 0;
+    # a grid with no parameter set has no row to miscount
+    "case_count: cassini's count +1": (_case_count_mutant, {
+        "refusal: cassini, no gated case", "refusal: over the case budget",
+    }),
+    # only a character below 2**-1022 takes a scaled root with k > 0; past
+    # 2**1023, k = 0 and 2ᵏ = 4ᵏ
+    "norm: radicand scaled by 2^k": (_norm_root_mutant, {"digest: char 1e-200,0,0,0"}),
 }
 
 
 @pytest.mark.parametrize("name", list(COMMAND_KILLS))
-def test_command_kill_set(name, monkeypatch):
+def test_command_kill_set(name, monkeypatch, tmp_path):
     install, killed_by = COMMAND_KILLS[name]
     install(monkeypatch)
-    assert failing_command_checks() == killed_by
+    assert failing_command_checks(tmp_path) == killed_by

@@ -39,19 +39,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DEFINED_IN = {
     "binet": (
         "BinetContext", "LemmaMismatchError", "alphabar_squared", "betabar_squared",
-        "binet_fib", "binet_horadam", "binet_lucas", "make_context",
-        "product_alphabar_betabar", "product_betabar_alphabar",
+        "binet_horadam", "make_context", "product_alphabar_betabar", "product_betabar_alphabar",
     ),
     "exactarith": (
-        "IrrationalResidueError", "QuadExt", "Rational", "format_rational", "parse_rational",
-        "roots",
+        "IrrationalResidueError", "QuadExt", "format_rational", "parse_rational", "roots",
     ),
     "genfunc": (
         "ExpansionReport", "SeriesExpansion", "binomial_series_coeff", "check_expansion",
         "expand",
     ),
     "hybrid": (
-        "BASIS", "BASIS_LABELS", "HybridNorm", "HybridNumber", "basis_table", "commutator",
+        "BASIS", "BASIS_LABELS", "HybridNorm", "HybridNumber", "basis_table",
         "format_basis_product",
     ),
     "identities": (
@@ -63,7 +61,7 @@ DEFINED_IN = {
     ),
     "sequences": (
         "HoradamParams", "ScalarIdentityReport", "SeqCache", "fib", "fib_params", "horadam",
-        "horadam_fast", "hybrid_seq", "lucas", "lucas_params", "verify_scalar_identities",
+        "horadam_fast", "hybrid_seq", "lucas_params", "verify_scalar_identities",
     ),
 }
 

@@ -17,7 +17,6 @@ from hybridseq import (
     horadam,
     horadam_fast,
     hybrid_seq,
-    lucas,
     lucas_params,
     verify_scalar_identities,
 )
@@ -54,12 +53,12 @@ class TestScalarValues:
 
     def test_classical_lucas_prefix(self):
         expected = [2, 1, 3, 4]
-        assert [lucas(1, 1, n) for n in range(4)] == expected
+        assert [horadam(lucas_params(1, 1), n) for n in range(4)] == expected
         assert [lucas_oracle(1, 1, n) for n in range(4)] == expected
 
     def test_lucas_one_is_p(self):
         for p, q in GRID_PQ:
-            assert lucas(p, q, 1) == p
+            assert horadam(lucas_params(p, q), 1) == p
 
     def test_horadam_tenth_fib(self):
         assert horadam(fib_params(1, 1), 10) == 55
@@ -262,11 +261,11 @@ class TestScalarIdentities:
     def test_double_index_spot(self):
         # F_6 = F_3·L_3 for p=q=1: 8 = 2·4
         assert fib(1, 1, 6) == 8
-        assert fib(1, 1, 3) * lucas(1, 1, 3) == 8
+        assert fib(1, 1, 3) * horadam(lucas_params(1, 1), 3) == 8
 
     def test_zero_case(self):
         assert fib(1, 1, 0) == 0
-        assert 5 * fib(1, 1, 0) ** 2 == lucas(1, 1, 0) - 2
+        assert 5 * fib(1, 1, 0) ** 2 == horadam(lucas_params(1, 1), 0) - 2
 
     def test_whole_grid(self):
         for p, q in GRID_PQ:
