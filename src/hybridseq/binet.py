@@ -10,9 +10,13 @@ Component k of HJ_n is J_m with m = n + k.  B, β and β^m are the s ↦ −s
 conjugates of A, α and α^m, so if A·α^m = x + y·s, then J_m = 2·y·s/s = 2·y,
 rational by construction.  :func:`binet_window` reaches A·α^lo = (X + Y·s)/den
 by one power, then multiplies by α = (p + s)/2 on integers:
-(X, Y, den) → (p·X + D·Y, X + p·Y, 2·den).  The product and square lemmas
-multiply α̲ and β̲ in Q[s] and check the products against the four rational
-hybrids of :func:`~hybridseq.sequences.lemma_hybrids`, the ones the identity
+(X, Y, den) → (p·X + D·Y, X + p·Y, 2·den), halving all three when X and Y
+are even.  den grows only at a step where X or Y is odd, where its power
+of 2 is the least one of A·αⁿ, bounded because α is an algebraic integer.
+So den stays bounded, and a step costs what the size of its values does,
+not what the walk's length does.  The product and square lemmas multiply
+α̲ and β̲ in Q[s] and check the products against the four rational hybrids
+of :func:`~hybridseq.sequences.lemma_hybrids`, the ones the identity
 right-hand sides read.
 """
 
@@ -62,6 +66,8 @@ def binet_window(ctx: BinetContext, lo: int, hi: int) -> list[HybridNumber]:
     for _ in range(hi - lo + 4):
         values.append(_rational(2 * y, den))
         x, y, den = p * x + d * y, x + p * y, 2 * den
+        if not (x | y) & 1:  # den is even here
+            x, y, den = x >> 1, y >> 1, den >> 1
     return [HybridNumber(*values[k : k + 4]) for k in range(hi - lo + 1)]
 
 

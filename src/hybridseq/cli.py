@@ -123,13 +123,20 @@ def _cap_error(where: str) -> ValueError:
     return ValueError(f"{where} needs a value of more than {DIGIT_CAP} digits (the output cap)")
 
 
-def _window(args: Namespace, width: int) -> tuple[HoradamParams, list]:
-    """The --seq parameters and X_from … X_{to+width−1}, checked against
-    the cap before any output.
+def _check_cap(values: list, start: int, width: int, name: str) -> None:
+    """Refuse a window that starts at X_start and holds a value over the cap.
 
     Line n shows X_n … X_{n+width−1}, so the error names the first line
-    that would hold a value over the cap.
+    that would hold such a value, as ``name``=n.
     """
+    for k, value in enumerate(values):
+        if _over_cap(value):
+            raise _cap_error(f"{name}={max(start, start + k - width + 1)}")
+
+
+def _window(args: Namespace, width: int) -> tuple[HoradamParams, list]:
+    """The --seq parameters and X_from … X_{to+width−1}, checked against
+    the cap before any output."""
     from . import sequences
 
     params = sequences.HoradamParams(args.p, args.q, args.a, args.b)
@@ -138,9 +145,7 @@ def _window(args: Namespace, width: int) -> tuple[HoradamParams, list]:
         raise ValueError("--from must not exceed --to")
     params = sequences.resolve_params(params, args.seq)
     values = sequences.SeqCache(params).window(start, stop + width - 1)
-    for k, value in enumerate(values):
-        if _over_cap(value):
-            raise _cap_error(f"n={max(start, start + k - width + 1)}")
+    _check_cap(values, start, width, "n")
     return params, values
 
 
@@ -213,6 +218,11 @@ def cmd_expand(args: Namespace, out: _Blocks) -> int:
     params = sequences.HoradamParams(args.p, args.q, args.a, args.b)
     if args.terms > TERM_CAP:
         raise ValueError(f"--terms {args.terms} is over the term cap of {TERM_CAP}")
+    # coefficient r is X_r … X_{r+3} where the expansion matches, so the
+    # window is cap-checked before any binomial sum (a negative --terms is
+    # left to check_expansion's error); each coefficient is checked after
+    if args.terms >= 0:
+        _check_cap(sequences.SeqCache(params).window(0, args.terms + 3), 0, 4, "r")
     report = genfunc.check_expansion(params, args.terms)
     coeffs = report.expansion.coeffs
     for r, coeff in enumerate(coeffs):

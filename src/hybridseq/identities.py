@@ -10,8 +10,10 @@ other; ``TestIndependence`` in ``tests/test_identities.py`` enforces this
 rule on every row.
 
 Every verifier is made from its row, as ``name(params, *indices,
-extended=False, ev=None)``; a ``BinetContext`` is read through its
-``params``, and only a row with extended probes takes ``extended=True``.
+ev=None)``; a ``BinetContext`` is read through its ``params``.  The indices
+decide whether a case is an extended-domain probe: catalan, cassini and
+docagne probe every index tuple with a negative index, and the other rows
+have none.
 
 Both sides are pairs (N, den) standing for N/den, N a hybrid with ``int``
 components and den a positive ``int``.  The left side multiplies and
@@ -21,10 +23,10 @@ two meet only in one cross-multiplied comparison, and a report reduces a
 value only when it is read.
 
 Three identities are commonly stated with a sign or coefficient slip; for
-those the right side gives the form the derivation yields (``proof-form``
-or ``sign-corrected``) next to the typeset one (``printed``).  The
-corrected variant is authoritative: it gates suite success, while
-``printed`` outcomes are only audited.
+those the right side gives the form the derivation yields next to the
+typeset one (``printed``), and the row names it (``proof-form`` or
+``sign-corrected``).  The corrected variant is authoritative: it gates
+suite success, while ``printed`` outcomes are only audited.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product, repeat
 from threading import Lock
 
 from . import SUITES
@@ -86,10 +88,7 @@ def _scaled(values) -> tuple[HybridNumber, int]:
 
 
 def _value(pair) -> HybridNumber:
-    """The reduced hybrid of a pair: ``int`` components where integral.
-    A hybrid (a record built with a reduced value) is returned as it is."""
-    if isinstance(pair, HybridNumber):
-        return pair
+    """The reduced hybrid of a pair: ``int`` components where integral."""
     num, den = pair
     return num if den == 1 else _hybrid(_rational(c, den) for c in num)
 
@@ -218,15 +217,15 @@ class Evaluator:
         return pair
 
 
-# --- the right sides: rhs(ev, J, *indices) -> (printed, corrected or None,
-# label), reading only ev.scalar, ev.pq and the parameter set J ---
+# --- the right sides: rhs(ev, J, *indices) -> (printed,) or (printed,
+# corrected), reading only ev.scalar, ev.pq and the parameter set J ---
 
 
 def _catalan_rhs(ev, J, m, r):
     pq = ev.pq[J[:2]]
     outer = (-J.weight_product, _neg_q_pow(J.q, m), ev.scalar(pq.fibs, -r))
-    return _rhs((pq.lucas_shifted, ev.scalar(pq.fibs, r), *outer),
-                (pq.fib_shifted, J.q, ev.scalar(pq.lucs, r), *outer)), None, ""
+    return (_rhs((pq.lucas_shifted, ev.scalar(pq.fibs, r), *outer),
+                 (pq.fib_shifted, J.q, ev.scalar(pq.lucs, r), *outer)),)
 
 
 def _cassini_rhs(ev, J, m):
@@ -235,24 +234,24 @@ def _cassini_rhs(ev, J, m):
     rhs = _rhs((pq.lucas_shifted, *outer), (pq.fib_shifted, J.p * J.q, *outer))
     if not _same(rhs, _catalan_rhs(ev, J, m, 1)[0]):
         raise ArithmeticError(f"cassini RHS disagrees with catalan RHS at r=1 for m={m}")
-    return rhs, None, ""
+    return (rhs,)
 
 
 def _docagne_rhs(ev, J, r, m):
     pq = ev.pq[J[:2]]
     outer = (_neg_q_pow(J.q, m), J.weight_product)
-    return _rhs((pq.lucas_shifted, ev.scalar(pq.fibs, r - m), *outer),
-                (pq.fib_shifted, J.q, ev.scalar(pq.lucs, r - m), *outer)), None, ""
+    return (_rhs((pq.lucas_shifted, ev.scalar(pq.fibs, r - m), *outer),
+                 (pq.fib_shifted, J.q, ev.scalar(pq.lucs, r - m), *outer)),)
 
 
 def _adjacent_rhs(ev, J, r):
-    return _rhs((ev.pq[J[:2]].fib_shifted, 2, _neg_q_pow(J.q, r + 1), J.weight_product)), None, ""
+    return (_rhs((ev.pq[J[:2]].fib_shifted, 2, _neg_q_pow(J.q, r + 1), J.weight_product)),)
 
 
 def _exchange_rhs(ev, J, n, r, s):
     pq = ev.pq[J[:2]]
     term = (pq.lucas_shifted, 2, _neg_q_pow(J.q, n + r), ev.scalar(pq.fibs, s - r))
-    return _rhs(term), None, ""
+    return (_rhs(term),)
 
 
 def _square_rhs(ev, J, n):
@@ -261,17 +260,17 @@ def _square_rhs(ev, J, n):
     lucas_term = (pq.lucas_sq, Fraction(disc - 1, disc), ev.scalar(pq.lucs, 2 * n))
     cross_term = (pq.lucas_shifted, 2, Fraction(disc + 1, disc), _neg_q_pow(J.q, n))
     return (_rhs(lucas_term, (pq.fib_sq, f2n), cross_term),
-            _rhs(lucas_term, (pq.fib_sq, disc - 1, f2n), cross_term), "proof-form")
+            _rhs(lucas_term, (pq.fib_sq, disc - 1, f2n), cross_term))
 
 
 def _horadam_rhs(ev, J, n, m):
     printed = _rhs((ev.pq[J[:2]].fib_shifted, 2, _neg_q_pow(J.q, n + 1), ev.scalar(J, m - n)))
-    return printed, (-printed[0], printed[1]), "proof-form"
+    return printed, (-printed[0], printed[1])
 
 
 def _diag_rhs(ev, J, n):
     printed = _rhs((ev.pq[J[:2]].fib_shifted, 2, J.a, _neg_q_pow(J.q, n + 1)))
-    return printed, (-printed[0], printed[1]), "sign-corrected"
+    return printed, (-printed[0], printed[1])
 
 
 # --- the suite table ---
@@ -294,13 +293,13 @@ def _catalan_count(n: int, r: int) -> int:
 # (nmax, rmax): how many have no negative index, and how many have one, in
 # closed form; lhs(J, F, L, *indices): two product keys; rhs: a right side,
 # above; domain(*indices): whether a gated case is in the domain (not asked
-# of a probe), and domain_error the message when it is not.
-_Suite = namedtuple("_Suite", "per_pq indices count lhs rhs probes domain domain_error",
-                    defaults=(lambda n, r: 0, lambda *indices: True, ""))
+# of a probe), and domain_error the message when it is not; corrected: the
+# label of the right side's corrected value, for a row whose rhs gives one.
+_Suite = namedtuple("_Suite", "per_pq indices count lhs rhs probes domain domain_error corrected",
+                    defaults=(lambda n, r: 0, lambda *indices: True, "", None))
 
 
-# A case is extended exactly when one of its indices is negative.  In lhs,
-# J is the unit's parameter set, F and L the Fibonacci and Lucas ones.
+# In lhs, J is the unit's parameter set, F and L the Fibonacci and Lucas ones.
 _SUITE_TABLE = {
     "catalan": _Suite(
         False, _catalan_indices, _catalan_count,
@@ -327,16 +326,19 @@ _SUITE_TABLE = {
     "square-difference": _Suite(
         True, lambda n, r: product(range(n + 1)), lambda n, r: n + 1,
         lambda J, F, L, n: ((L, n, L, n), (F, n, F, n)), _square_rhs,
-        domain=lambda n: n >= 0, domain_error="square difference requires n >= 0"),
+        domain=lambda n: n >= 0, domain_error="square difference requires n >= 0",
+        corrected="proof-form"),
     "horadam-commutator": _Suite(
         False, lambda n, r: combinations_with_replacement(range(n + 1), 2),
         lambda n, r: (n + 1) * (n + 2) // 2,
         lambda J, F, L, n, m: ((F, n, J, m), (J, m, F, n)), _horadam_rhs,
-        domain=lambda n, m: m >= n >= 0, domain_error="horadam commutator requires m >= n >= 0"),
+        domain=lambda n, m: m >= n >= 0, domain_error="horadam commutator requires m >= n >= 0",
+        corrected="proof-form"),
     "diag-commutator": _Suite(
         False, lambda n, r: product(range(n + 1)), lambda n, r: n + 1,
         lambda J, F, L, n: ((F, n, J, n), (J, n, F, n)), _diag_rhs,
-        domain=lambda n: n >= 0, domain_error="diag commutator requires n >= 0"),
+        domain=lambda n: n >= 0, domain_error="diag commutator requires n >= 0",
+        corrected="sign-corrected"),
 }
 
 
@@ -344,44 +346,38 @@ _SUITE_TABLE = {
 # run's Evaluator as ``ev``, and a direct call makes its own ---
 
 
-def _build_report(name, unit, indices, ev, extended=False) -> VerificationReport:
-    """One case: domain check, both sides, verdict; a corrected variant is authoritative.
-    ``unit`` is a parameter set J, or a BinetContext, read through its ``params``."""
+def _build_report(name, unit, indices, ev) -> VerificationReport:
+    """One case: domain check, both sides, verdict.  The case is an
+    extended-domain probe exactly when its row has probes and one of its
+    indices is negative; a probe skips the domain check.  The last variant
+    is authoritative.  ``unit`` is a parameter set J, or a BinetContext,
+    read through its ``params``."""
     row = _SUITE_TABLE[name]
-    if not (extended or row.domain(*indices)):
+    probe = min(indices) < 0 and row.probes(0, 0) > 0
+    if not (probe or row.domain(*indices)):
         raise ValueError(row.domain_error)
     ev = ev or Evaluator()
     J, F, L = ev.sets[getattr(unit, "params", unit)]
     first, second = row.lhs(J, F, L, *indices)
     lhs = _lhs(ev.prod(*first), ev.prod(*second))
-    printed, corrected, label = row.rhs(ev, J, *indices)
-    ok = _same(lhs, printed)
-    if corrected is None:
-        variants = (VariantResult("printed", printed, ok, True),)
-        verdict = VERDICT_PASS if ok else VERDICT_FAIL
-    else:
-        fixed = _same(lhs, corrected)
-        variants = (VariantResult("printed", printed, ok, False),
-                    VariantResult(label, corrected, fixed, True))
-        verdict = VERDICT_PASS if ok else VERDICT_AUDIT if fixed else VERDICT_FAIL
-    case = IdentityCase(name, F if row.per_pq else J, indices, extended)  # per (p, q): F
+    values = row.rhs(ev, J, *indices)  # (printed,) or (printed, corrected)
+    variants = tuple(map(VariantResult, ("printed", row.corrected), values,
+                         map(_same, repeat(lhs), values), (len(values) == 1, True)))
+    verdict = (VERDICT_PASS if variants[0].passed
+               else VERDICT_AUDIT if variants[-1].passed else VERDICT_FAIL)
+    case = IdentityCase(name, F if row.per_pq else J, indices, probe)  # per (p, q): F
     return VerificationReport(case, lhs, variants, verdict)
 
 
 def _verifier(name: str, doc: str) -> Callable[..., VerificationReport]:
     """The public verifier of suite ``name``, ``verify(params, *indices,
-    extended=False, ev=None)``: its row through :func:`_build_report`.  Only
-    a row with extended probes takes ``extended=True``."""
-    row = _SUITE_TABLE[name]
-    arity, probing = row.rhs.__code__.co_argcount - 2, row.probes(0, 0) > 0  # rhs(ev, J, *indices)
+    ev=None)``: its row through :func:`_build_report`."""
+    arity = _SUITE_TABLE[name].rhs.__code__.co_argcount - 2  # rhs(ev, J, *indices)
 
-    def verify(params, *indices, extended: bool = False,
-               ev: Evaluator | None = None) -> VerificationReport:
+    def verify(params, *indices, ev: Evaluator | None = None) -> VerificationReport:
         if len(indices) != arity:
             raise TypeError(f"{verify.__name__}() takes {arity} indices, {len(indices)} given")
-        if extended and not probing:
-            raise TypeError(f"{verify.__name__}() has no extended cases")
-        return _build_report(name, params, indices, ev, extended)
+        return _build_report(name, params, indices, ev)
 
     verify.__name__ = verify.__qualname__ = name.replace("-", "_")
     verify.__doc__ = doc
@@ -576,11 +572,11 @@ def run_suite(config: GridConfig | None = None, suite: str = "all",
         for name in names:
             row = _SUITE_TABLE[name]
             verify = globals()[name.replace("-", "_")]  # so that a rebinding reaches it
-            cases = [(idx, min(idx) < 0) for idx in row.indices(config.nmax, config.rmax)]
+            cases = list(row.indices(config.nmax, config.rmax))
             for unit in fibs if row.per_pq else param_sets:
                 ev._prods.clear()
-                for indices, extended in cases:
-                    report = verify(unit, *indices, extended=extended, ev=ev)
+                for indices in cases:
+                    report = verify(unit, *indices, ev=ev)
                     tally(report)
                     emit(report)
     finally:  # each product made read two HJ_n, and each HJ_n is kept

@@ -145,6 +145,21 @@ class TestBinetValues:
             window = binet_window(make_context(params), -30, 60)
             assert window == [SeqCache(params).hybrid(n) for n in range(-30, 61)], params
 
+    def test_walk_keeps_its_denominator_bounded(self, monkeypatch):
+        # p = 1, q = -1: α is a sixth root of unity and every value is small,
+        # so a denominator doubled at every step would be all of the walk's growth
+        dens, rational = [], binet._rational
+
+        def recorded(num, den):
+            dens.append(den)
+            return rational(num, den)
+
+        monkeypatch.setattr(binet, "_rational", recorded)
+        window = binet_window(make_context(fib_params(1, -1)), 0, 20_000)
+        assert len(dens) == 20_004
+        assert max(den.bit_length() for den in dens) <= 3
+        assert window[20_000] == window[20_000 % 6] == HybridNumber(1, 0, -1, -1)
+
     def test_fib_specialization(self):
         ctx = make_context(fib_params(1, 1))
         assert binet_horadam(ctx, 1) == HybridNumber(1, 1, 2, 3)

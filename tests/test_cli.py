@@ -412,6 +412,19 @@ class TestDigitCap:
         assert code == 0
         assert len(out.splitlines()) == 142
 
+    def test_over_cap_expand_is_refused_before_any_binomial_sum(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a binomial sum ran before the window's cap check")
+
+        monkeypatch.setattr(genfunc, "binomial_series_coeff", refuse)
+        code, out, err = run_cli(
+            capsys, "expand", "--p", str(10**12), "--q", "1", "--terms", "1500"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: r=357 needs a value of more than {DIGIT_CAP} digits (the output cap)\n"
+        )
+
     def test_boundary_by_counting(self):
         top = 10**DIGIT_CAP
         for fits in (top - 1, -(top - 1), 2 ** (top.bit_length() - 1), Fraction(1, top - 1)):
@@ -442,7 +455,7 @@ class TestVerifyDigitCap:
 
     def test_audit_checks_every_variant(self):
         report = identities.cassini(binet.make_context(sequences.fib_params(1, 1)), 2)
-        huge = HybridNumber(0, 0, 0, 10**DIGIT_CAP)
+        huge = HybridNumber(0, 0, 0, 10**DIGIT_CAP), 1  # a value as (N, den)
         variant = report.variants[0]._replace(value=huge)
         report = report._replace(variants=(variant,))
         cli._printed_values(report, audit=False)

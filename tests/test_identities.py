@@ -79,7 +79,7 @@ class TestCatalan:
             catalan(ctx_for(1, 1, 0, 1), 1, 2)
 
     def test_extended_domain_negative_m(self):
-        report = catalan(ctx_for(1, 1, 0, 1), -2, 1, extended=True)
+        report = catalan(ctx_for(1, 1, 0, 1), -2, 1)
         assert report.case.extended
         assert report.verdict == VERDICT_PASS
 
@@ -254,8 +254,8 @@ class TestDiagCommutator:
 
 class TestVerifierContract:
     """What a caller of the eight public verifiers may rely on: their names
-    and docstrings, where ``extended=True`` is refused, and the text of each
-    domain error."""
+    and docstrings, which index tuples are extended-domain probes, and the
+    text of each domain error."""
 
     # public name -> (its docstring's first line, in-domain indices,
     # out-of-domain indices and the domain error, or None when it has none)
@@ -280,8 +280,11 @@ class TestVerifierContract:
         "diag_commutator": ("HF_n·HJ_n − HJ_n·HF_n, printed and sign-corrected right sides.",
                             (0,), ((-1,), "diag commutator requires n >= 0")),
     }
-    NO_PROBES = ("adjacent_commutator", "lucas_fib_exchange", "square_difference",
-                 "horadam_commutator", "diag_commutator")
+    # a suite with probes -> (indices with a negative one, a probe; gated indices)
+    PROBES = {"catalan": ((-2, 1), (2, 1)), "cassini": ((-1,), (1,)), "docagne": ((0, -1), (0, 0))}
+    # a suite without -> indices with a negative one
+    NO_PROBES = {"adjacent_commutator": (-1,), "lucas_fib_exchange": (-1, 0, 1),
+                 "square_difference": (-1,), "horadam_commutator": (-1, 0), "diag_commutator": (-1,)}
 
     @staticmethod
     def _unit(name):
@@ -290,11 +293,22 @@ class TestVerifierContract:
         per_pq = name in ("lucas_fib_exchange", "square_difference")
         return params if per_pq else make_context(params)
 
-    @pytest.mark.parametrize("name", NO_PROBES)
-    def test_extended_refused_where_a_suite_has_no_probes(self, name):
-        _, indices, _ = self.VERIFIERS[name]
-        with pytest.raises(TypeError):
-            getattr(identities, name)(self._unit(name), *indices, extended=True)
+    @pytest.mark.parametrize("name", sorted(PROBES))
+    def test_the_indices_decide_a_probe(self, name):
+        negative, gated = self.PROBES[name]
+        verify, params = getattr(identities, name), fib_params(1, 2)
+        assert verify(params, *negative).case.extended is True
+        assert verify(params, *gated).case.extended is False
+
+    @pytest.mark.parametrize("name", sorted(NO_PROBES))
+    def test_a_negative_index_is_gated_where_a_suite_has_no_probes(self, name):
+        verify, indices = getattr(identities, name), self.NO_PROBES[name]
+        domain = self.VERIFIERS[name][2]
+        if domain is None:  # any integers: a gated case
+            assert verify(self._unit(name), *indices).case.extended is False
+        else:
+            with pytest.raises(ValueError, match=f"^{domain[1]}$"):
+                verify(self._unit(name), *indices)
 
     @pytest.mark.parametrize("name", sorted(VERIFIERS))
     def test_a_wrong_number_of_indices_is_refused_by_name(self, name):
@@ -303,21 +317,13 @@ class TestVerifierContract:
             with pytest.raises(TypeError, match=rf"^{name}\(\) "):
                 getattr(identities, name)(self._unit(name), *wrong)
 
-    @pytest.mark.parametrize("name", sorted(VERIFIERS))
-    def test_extended_false_accepted_by_every_verifier(self, name):
-        _, indices, _ = self.VERIFIERS[name]
-        verify, params = getattr(identities, name), fib_params(1, 1)
-        assert verify(params, *indices, extended=False) == verify(params, *indices)
-
     @pytest.mark.parametrize("suite", SUITES)
     def test_a_context_and_its_params_give_equal_reports(self, suite):
         verify, row = getattr(identities, suite.replace("-", "_")), identities._SUITE_TABLE[suite]
         for params in grid_param_sets(SMALL_GRID):
             ctx = make_context(params)
             for indices in row.indices(SMALL_GRID.nmax, SMALL_GRID.rmax):
-                extended = min(indices) < 0
-                assert (verify(ctx, *indices, extended=extended)
-                        == verify(params, *indices, extended=extended)), (params, indices)
+                assert verify(ctx, *indices) == verify(params, *indices), (params, indices)
 
     @pytest.mark.parametrize("name", sorted(VERIFIERS))
     def test_name_and_docstring(self, name):
@@ -675,13 +681,11 @@ class TestIndependence:
             for indices in row.indices(SMALL_GRID.nmax, SMALL_GRID.rmax):
                 first, second = row.lhs(*sets, *indices)
                 lhs = identities._lhs(left.prod(*first), left.prod(*second))
-                printed, corrected, label = row.rhs(right, sets[0], *indices)
-                probe = {"extended": True} if min(indices) < 0 else {}
-                report = verify(unit, *indices, **probe, ev=both)
+                sides = row.rhs(right, sets[0], *indices)
+                report = verify(unit, *indices, ev=both)
                 assert report.lhs == identities._value(lhs), report.case
-                sides = [printed] if corrected is None else [printed, corrected]
                 assert [v.value for v in report.variants] == list(map(identities._value, sides))
-                assert report.variants[-1].label == ("printed" if corrected is None else label)
+                assert [v.label for v in report.variants] == ["printed", row.corrected][:len(sides)]
                 checked += 1
         assert checked == case_count(SMALL_GRID, suite)
 
@@ -689,23 +693,26 @@ class TestIndependence:
 def _suite_cases(p, q, a, b, k, j):
     """(report, Σ ± products) for every suite at one random point.
 
-    k and j are any integers; catalan, cassini, docagne and
-    lucas-fib-exchange take them as given (extended negatives included),
-    the others at the nearest indices in their domain.
+    k and j are any integers.  docagne and lucas-fib-exchange take them as
+    given, and so do catalan and cassini when one is negative (an
+    extended-domain probe); otherwise those two and the others take the
+    nearest indices in their domain.
     """
     ctx = ctx_for(p, q, a, b)
     seed, fib, luc = (a, b), (0, 1), (2, p)
     n, m = sorted((abs(k), abs(j)))
+    cm, cr = (k, j) if min(k, j) < 0 else (m, n)  # catalan's m >= r >= 0
+    c = k if k < 0 else max(k, 1)  # cassini's m >= 1
 
     def commutator(x, y):
         return [(+1, x, y), (-1, y, x)]
 
     return [
-        (catalan(ctx, k, j, extended=True),
-         [(+1, (seed, k), (seed, k)), (-1, (seed, k + j), (seed, k - j))]),
-        (cassini(ctx, k, extended=True),
-         [(+1, (seed, k), (seed, k)), (-1, (seed, k + 1), (seed, k - 1))]),
-        (docagne(ctx, k, j, extended=True),
+        (catalan(ctx, cm, cr),
+         [(+1, (seed, cm), (seed, cm)), (-1, (seed, cm + cr), (seed, cm - cr))]),
+        (cassini(ctx, c),
+         [(+1, (seed, c), (seed, c)), (-1, (seed, c + 1), (seed, c - 1))]),
+        (docagne(ctx, k, j),
          [(+1, (seed, k), (seed, j + 1)), (-1, (seed, k + 1), (seed, j))]),
         (adjacent_commutator(ctx, n), commutator((seed, n + 1), (seed, n))),
         (lucas_fib_exchange(fib_params(p, q), k, j, n),

@@ -23,8 +23,9 @@ fails the lemma check that reads it and the suites of the matching
 grid's p values, is caught by the lemma proof over every (p, q).
 
 Every suite runs through one report builder and counts its cases from its
-row's closed forms; ``SHARED_PATH_KILLS`` plants one bug in each and pins
-the suites whose gate or case count it breaks.
+row's closed forms; ``SHARED_PATH_KILLS`` plants bugs in the builder's
+variants and in its probe rule, and one in a row's count, and pins the
+suites whose gate or case count each breaks.
 
 The ``binet`` command checks its closed-form walk against one recurrence
 window; ``BINET_KILLS`` plants one bug on each side of that check and pins
@@ -331,9 +332,14 @@ def _count_mismatches(grid: GridConfig) -> set[str]:
 
 def _builder_drops_corrected(monkeypatch) -> None:
     """The report builder drops every corrected variant, so printed is authoritative."""
-    build = _mutated(identities._build_report,
-                     "printed, corrected, label = row.rhs(ev, J, *indices)",
-                     "(printed, _, label), corrected = row.rhs(ev, J, *indices), None")
+    build = _mutated(identities._build_report, "values = row.rhs(ev, J, *indices)",
+                     "values = row.rhs(ev, J, *indices)[:1]")
+    monkeypatch.setattr(identities, "_build_report", build)
+
+
+def _zero_index_probes(monkeypatch) -> None:
+    """The probe rule takes an index of 0 for a negative one."""
+    build = _mutated(identities._build_report, "min(indices) < 0", "min(indices) <= 0")
     monkeypatch.setattr(identities, "_build_report", build)
 
 
@@ -352,6 +358,8 @@ SHARED_PATH_KILLS = {
         _builder_drops_corrected,
         {"square-difference", "horadam-commutator", "diag-commutator"}, set(),
     ),
+    # every gated case still passes; cassini's gated indices start at m = 1
+    "probe rule: an index of 0 probes": (_zero_index_probes, set(), {"catalan", "docagne"}),
     "catalan count +1": (_catalan_count_plus_one, set(), {"catalan"}),
 }
 
