@@ -7,6 +7,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from inspect import Parameter, signature
 from itertools import count
 
 import pytest
@@ -316,6 +317,18 @@ class TestVerifierContract:
         for wrong in (indices[:-1], (*indices, 0)):
             with pytest.raises(TypeError, match=rf"^{name}\(\) "):
                 getattr(identities, name)(self._unit(name), *wrong)
+
+    @pytest.mark.parametrize("name", sorted(VERIFIERS))
+    def test_takes_a_parameter_set_indices_and_an_evaluator_only(self, name):
+        # nothing beyond (params, *indices, ev=None): the indices alone decide a probe
+        verify, (_, indices, _) = getattr(identities, name), self.VERIFIERS[name]
+        shape = [(p.name, p.kind, p.default) for p in signature(verify).parameters.values()]
+        assert shape == [("params", Parameter.POSITIONAL_OR_KEYWORD, Parameter.empty),
+                         ("indices", Parameter.VAR_POSITIONAL, Parameter.empty),
+                         ("ev", Parameter.KEYWORD_ONLY, None)]
+        for flag in (False, True):
+            with pytest.raises(TypeError, match="extended"):
+                verify(self._unit(name), *indices, extended=flag)
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_a_context_and_its_params_give_equal_reports(self, suite):
