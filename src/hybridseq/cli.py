@@ -123,20 +123,23 @@ def _cap_error(where: str) -> ValueError:
     return ValueError(f"{where} needs a value of more than {DIGIT_CAP} digits (the output cap)")
 
 
-def _check_cap(values: list, start: int, width: int, name: str) -> None:
-    """Refuse a window that starts at X_start and holds a value over the cap.
+def _check_cap(values: list, start: int, width: int, name: str, offset: int = 0) -> None:
+    """Refuse a window that starts at X_start and holds a value over the cap,
+    where values are X_{start+offset} onward.
 
     Line n shows X_n … X_{n+width−1}, so the error names the first line
     that would hold such a value, as ``name``=n.
     """
-    for k, value in enumerate(values):
+    for k, value in enumerate(values, offset):
         if _over_cap(value):
             raise _cap_error(f"{name}={max(start, start + k - width + 1)}")
 
 
 def _window(args: Namespace, width: int) -> tuple[HoradamParams, list]:
     """The --seq parameters and X_from … X_{to+width−1}, checked against
-    the cap before any output."""
+    the cap before any output.  The window fills in chunks of 1, 2, 4, …
+    values, each checked before the next is made, so a window over the cap
+    is refused after at most twice the values up to its first over-cap one."""
     from . import sequences
 
     params = sequences.HoradamParams(args.p, args.q, args.a, args.b)
@@ -144,8 +147,12 @@ def _window(args: Namespace, width: int) -> tuple[HoradamParams, list]:
     if start > stop:
         raise ValueError("--from must not exceed --to")
     params = sequences.resolve_params(params, args.seq)
-    values = sequences.SeqCache(params).window(start, stop + width - 1)
-    _check_cap(values, start, width, "n")
+    cache, values, last = sequences.SeqCache(params), [], stop + width - 1
+    while start + len(values) <= last:
+        offset = len(values)
+        chunk = cache.window(start + offset, min(last, start + 2 * offset))
+        _check_cap(chunk, start, width, "n", offset)
+        values += chunk
     return params, values
 
 

@@ -346,38 +346,34 @@ _SUITE_TABLE = {
 # run's Evaluator as ``ev``, and a direct call makes its own ---
 
 
-def _build_report(name, unit, indices, ev) -> VerificationReport:
-    """One case: domain check, both sides, verdict.  The case is an
-    extended-domain probe exactly when its row has probes and one of its
-    indices is negative; a probe skips the domain check.  The last variant
-    is authoritative.  ``unit`` is a parameter set J, or a BinetContext,
-    read through its ``params``."""
-    row = _SUITE_TABLE[name]
-    probe = min(indices) < 0 and row.probes(0, 0) > 0
-    if not (probe or row.domain(*indices)):
-        raise ValueError(row.domain_error)
-    ev = ev or Evaluator()
-    J, F, L = ev.sets[getattr(unit, "params", unit)]
-    first, second = row.lhs(J, F, L, *indices)
-    lhs = _lhs(ev.prod(*first), ev.prod(*second))
-    values = row.rhs(ev, J, *indices)  # (printed,) or (printed, corrected)
-    variants = tuple(map(VariantResult, ("printed", row.corrected), values,
-                         map(_same, repeat(lhs), values), (len(values) == 1, True)))
-    verdict = (VERDICT_PASS if variants[0].passed
-               else VERDICT_AUDIT if variants[-1].passed else VERDICT_FAIL)
-    case = IdentityCase(name, F if row.per_pq else J, indices, probe)  # per (p, q): F
-    return VerificationReport(case, lhs, variants, verdict)
-
-
 def _verifier(name: str, doc: str) -> Callable[..., VerificationReport]:
     """The public verifier of suite ``name``, ``verify(params, *indices,
-    ev=None)``: its row through :func:`_build_report`."""
-    arity = _SUITE_TABLE[name].rhs.__code__.co_argcount - 2  # rhs(ev, J, *indices)
+    ev=None)``, made from its row: domain check, both sides, verdict.  The
+    case is an extended-domain probe exactly when its row has probes and one
+    of its indices is negative; a probe skips the domain check.  The last
+    variant is authoritative.  ``params`` is a parameter set J, or a
+    BinetContext, read through its ``params``."""
+    row = _SUITE_TABLE[name]
+    arity = row.rhs.__code__.co_argcount - 2  # rhs(ev, J, *indices)
+    has_probes = row.probes(0, 0) > 0
 
     def verify(params, *indices, ev: Evaluator | None = None) -> VerificationReport:
         if len(indices) != arity:
             raise TypeError(f"{verify.__name__}() takes {arity} indices, {len(indices)} given")
-        return _build_report(name, params, indices, ev)
+        probe = has_probes and min(indices) < 0
+        if not (probe or row.domain(*indices)):
+            raise ValueError(row.domain_error)
+        ev = ev or Evaluator()
+        J, F, L = ev.sets[getattr(params, "params", params)]
+        first, second = row.lhs(J, F, L, *indices)
+        lhs = _lhs(ev.prod(*first), ev.prod(*second))
+        values = row.rhs(ev, J, *indices)  # (printed,) or (printed, corrected)
+        variants = tuple(map(VariantResult, ("printed", row.corrected), values,
+                             map(_same, repeat(lhs), values), (len(values) == 1, True)))
+        verdict = (VERDICT_PASS if variants[0].passed
+                   else VERDICT_AUDIT if variants[-1].passed else VERDICT_FAIL)
+        case = IdentityCase(name, F if row.per_pq else J, indices, probe)  # per (p, q): F
+        return VerificationReport(case, lhs, variants, verdict)
 
     verify.__name__ = verify.__qualname__ = name.replace("-", "_")
     verify.__doc__ = doc

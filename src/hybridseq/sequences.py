@@ -168,14 +168,10 @@ class SeqCache:
         memo = self._memo
         return [memo[k] for k in range(lo, hi + 1)]
 
-    def hybrid(self, n: int) -> HybridNumber:
-        """Hybrid-valued element (X_n, X_{n+1}, X_{n+2}, X_{n+3})."""
-        return HybridNumber(*self.window(n, n + 3))
-
 
 def hybrid_seq(params: HoradamParams, kind: str, n: int) -> HybridNumber:
     """Hybrid-valued sequence element (X_n, X_{n+1}, X_{n+2}, X_{n+3})."""
-    return SeqCache(resolve_params(params, kind)).hybrid(n)
+    return HybridNumber(*SeqCache(resolve_params(params, kind)).window(n, n + 3))
 
 
 def lemma_hybrids(p: int, q: int) -> tuple[HybridNumber, ...]:

@@ -134,14 +134,13 @@ def rand_hybrid(rng, span: int = 9) -> HybridNumber:
 
 
 def count_seqcache_reads(monkeypatch) -> Counter:
-    """Count SeqCache.window and SeqCache.hybrid calls by (method, parameters)."""
+    """Count SeqCache.window calls by ("window", parameters)."""
     reads: Counter = Counter()
-    for name in ("window", "hybrid"):
-        method = getattr(SeqCache, name)
+    window = SeqCache.window
 
-        def counted(self, *args, _name=name, _method=method):
-            reads[_name, self.params] += 1
-            return _method(self, *args)
+    def counted(self, *args):
+        reads["window", self.params] += 1
+        return window(self, *args)
 
-        monkeypatch.setattr(SeqCache, name, counted)
+    monkeypatch.setattr(SeqCache, "window", counted)
     return reads

@@ -143,7 +143,8 @@ class TestBinetValues:
     def test_window_walk_matches_recurrence_window(self):
         for params in GRID_PARAMS:
             window = binet_window(make_context(params), -30, 60)
-            assert window == [SeqCache(params).hybrid(n) for n in range(-30, 61)], params
+            assert window == [HybridNumber(*SeqCache(params).window(n, n + 3))
+                              for n in range(-30, 61)], params
 
     def test_walk_keeps_its_denominator_bounded(self, monkeypatch):
         # p = 1, q = -1: α is a sixth root of unity and every value is small,

@@ -245,13 +245,14 @@ class TestBinet:
 
     def test_one_window_read_and_no_hybrid_read(self, capsys, monkeypatch):
         # the recurrence side is the cap-checked window the lines print from,
-        # and the closed form reads no window
+        # X_-20 … X_63, filled in chunks of 1, 2, 4, …, 32 values and the last
+        # 21 (seven reads); the closed form reads no window
         params = sequences.HoradamParams(2, -3, 1, 4)
         reads = count_seqcache_reads(monkeypatch)
         code, out, _ = run_cli(capsys, "binet", "--p", "2", "--q", "-3", "--a", "1", "--b", "4",
                                "--from", "-20", "--to", "60")
         assert (code, len(out.splitlines())) == (0, 81)
-        assert reads == {("window", params): 1}
+        assert reads == {("window", params): 7}
 
     def test_one_power_per_window(self, capsys, monkeypatch):
         # make_context takes none: one power of α for the whole walk
@@ -398,6 +399,30 @@ class TestDigitCap:
             f"error: {name}={index} needs a value of more than {DIGIT_CAP} digits "
             "(the output cap)\n"
         )
+
+    # windows far past the cap: (argv, the n of the error line, and the offset
+    # k in the window of its first over-cap value: F_20578 has 4,301 digits,
+    # and the denominator of X_-1500 is 1000^1500)
+    @pytest.mark.parametrize("argv,index,k", [
+        (("seq", "--p", "1", "--q", "1", "--to", "60000", "--kind", "scalar"), 20578, 20578),
+        (("seq", "--p", "1", "--q", "1000", "--from", "-1500", "--to", "0", "--kind", "scalar"),
+         -1500, 0),
+    ])
+    def test_over_cap_window_is_refused_as_it_fills(self, capsys, monkeypatch, argv, index, k):
+        # a window fills in chunks of 1, 2, 4, … values, each checked before the
+        # next is made, so at most 2·(k + 1) values are made, not the whole window
+        made = []
+        window = sequences.SeqCache.window
+
+        def counted(self, lo, hi):
+            made.append(hi - lo + 1)
+            return window(self, lo, hi)
+
+        monkeypatch.setattr(sequences.SeqCache, "window", counted)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: n={index} needs a value of more than {DIGIT_CAP} digits (the output cap)\n"
+        assert sum(made) <= 2 * (k + 1)
 
     def test_largest_value_under_the_cap_prints(self, capsys):
         code, out, _ = run_cli(

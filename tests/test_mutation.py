@@ -22,9 +22,10 @@ fails the lemma check that reads it and the suites of the matching
 ``rhs_consts`` row.  A term that vanishes at p = 1, 2 and 3, the default
 grid's p values, is caught by the lemma proof over every (p, q).
 
-Every suite runs through one report builder and counts its cases from its
-row's closed forms; ``SHARED_PATH_KILLS`` plants bugs in the builder's
-variants and in its probe rule, and one in a row's count, and pins the
+Every verifier is its row's report builder, made by ``_verifier``, and
+every suite counts its cases from its row's closed forms;
+``SHARED_PATH_KILLS`` plants bugs in the builder's variants and in its probe
+rule (rebinding the eight verifiers), and one in a row's count, and pins the
 suites whose gate or case count each breaks.
 
 The ``binet`` command checks its closed-form walk against one recurrence
@@ -33,8 +34,9 @@ the lines it must report as divergent, with both values.
 
 The other commands rest on checks of their output; ``COMMAND_KILLS`` plants
 one bug each in the negative branch of ``sequences._seek``, in
-``cli._rendered``, in ``cli._over_cap``, in ``identities.case_count`` and in
-the scaled root of ``HybridNumber.norm``, and pins the command checks that
+``cli._rendered``, in ``cli._over_cap``, in the index ``cli._check_cap``
+names for a chunk of a window, in ``identities.case_count`` and in the
+scaled root of ``HybridNumber.norm``, and pins the command checks that
 fail under it: golden stream digests, binet's exit 1, expand's
 ``matches_seq``, the cap's error line and verify's refusal line for a grid
 it must not run.  A mutant that no check kills would be pinned to the empty
@@ -330,17 +332,24 @@ def _count_mismatches(grid: GridConfig) -> set[str]:
     return mismatched
 
 
+def _rebind_verifiers(monkeypatch, old: str, new: str) -> None:
+    """Each of the eight verifiers, made again by a mutated ``_verifier`` and
+    rebound under its name, where run_suite looks it up."""
+    make = _mutated(identities._verifier, old, new)
+    for suite in SUITES:
+        name = suite.replace("-", "_")
+        monkeypatch.setattr(identities, name, make(suite, getattr(identities, name).__doc__))
+
+
 def _builder_drops_corrected(monkeypatch) -> None:
     """The report builder drops every corrected variant, so printed is authoritative."""
-    build = _mutated(identities._build_report, "values = row.rhs(ev, J, *indices)",
-                     "values = row.rhs(ev, J, *indices)[:1]")
-    monkeypatch.setattr(identities, "_build_report", build)
+    _rebind_verifiers(monkeypatch, "values = row.rhs(ev, J, *indices)",
+                      "values = row.rhs(ev, J, *indices)[:1]")
 
 
 def _zero_index_probes(monkeypatch) -> None:
     """The probe rule takes an index of 0 for a negative one."""
-    build = _mutated(identities._build_report, "min(indices) < 0", "min(indices) <= 0")
-    monkeypatch.setattr(identities, "_build_report", build)
+    _rebind_verifiers(monkeypatch, "min(indices) < 0", "min(indices) <= 0")
 
 
 def _catalan_count_plus_one(monkeypatch) -> None:
@@ -503,6 +512,13 @@ def _over_cap_mutant(monkeypatch) -> None:
     monkeypatch.setattr(cli, "_over_cap", over_cap)
 
 
+def _cap_index_mutant(monkeypatch) -> None:
+    """The cap error counts its index from the chunk being checked, not from
+    the start of the window."""
+    check = _mutated(cli._check_cap, "enumerate(values, offset)", "enumerate(values)")
+    monkeypatch.setattr(cli, "_check_cap", check)
+
+
 def _case_count_mutant(monkeypatch) -> None:
     """case_count reads cassini's closed-form count one too high per parameter set."""
     count = _mutated(identities.case_count, "row.count(n, r)",
@@ -544,6 +560,12 @@ COMMAND_KILLS = {
     # the one over-cap request whose denominator alone passes the cap
     "_over_cap: denominator unchecked": (_over_cap_mutant, {
         "digit cap: seq --p 1 --q -3 --from -9100 --to -9090 --kind scalar",
+    }),
+    # the over-cap requests whose first over-cap value is past the window's
+    # first chunk; in the others it is the window's first value
+    "_check_cap: index from the chunk": (_cap_index_mutant, {
+        "digit cap: seq --p 1 --q 1 --from 20570 --to 20600 --kind scalar",
+        "digit cap: seq --p 1 --q 1 --from 20560 --to 20600 --format csv",
     }),
     # the count a refusal prints, and the cassini grid whose gated count is 0;
     # a grid with no parameter set has no row to miscount

@@ -149,7 +149,7 @@ class TestSeqCache:
     def test_memo_spans_only_the_requested_window(self):
         cache = SeqCache(HoradamParams(2, 3, 1, -1))
         for n in range(-50, 51):
-            cache.hybrid(n)
+            cache.window(n, n + 3)
         assert sorted(cache._memo) == list(range(-50, 54))
 
 
@@ -295,5 +295,6 @@ class TestIntegerFirstValues:
         params = HoradamParams(2, 3, 1, -1)
         cache = SeqCache(params)
         for n in range(-12, 13):
-            assert cache.hybrid(n) == hybrid_seq(params, "horadam", n)
-            assert cache.hybrid(n) == hybrid_oracle(2, 3, 1, -1, n)
+            hybrid = HybridNumber(*cache.window(n, n + 3))
+            assert hybrid == hybrid_seq(params, "horadam", n)
+            assert hybrid == hybrid_oracle(2, 3, 1, -1, n)
